@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Wall-clock slowdown tolerated by bench-compare before a scenario fails.
 TOLERANCE ?= 2
 
-.PHONY: all build test race vet bench verify bench-all bench-compare bench-baseline bench-large bench-huge bench-service bench-plan loadtest chaos fuzz clean
+.PHONY: all build test race vet bench verify bench-all bench-compare bench-baseline bench-large bench-huge loadtest chaos perfbench-test fuzz clean
 
 all: verify
 
@@ -65,17 +65,6 @@ bench-huge:
 bench-baseline:
 	$(GO) run ./cmd/energybench -tier all -run '.*' -out BENCH_baseline.json
 
-# bench-service emits BENCH_service.json: the cold vs cache-hit service
-# scenarios of the energybench registry, end-to-end over HTTP.
-bench-service:
-	BENCH_SERVICE_OUT=$(CURDIR)/BENCH_service.json $(GO) test -run TestEmitBenchServiceJSON -v ./internal/service/
-
-# bench-plan emits BENCH_plan.json: the structure-aware planner vs one
-# monolithic interior-point solve on the disconnected multi-component
-# scenario of the energybench registry.
-bench-plan:
-	BENCH_PLAN_OUT=$(CURDIR)/BENCH_plan.json $(GO) test -run TestEmitBenchPlanJSON -v ./internal/plan/
-
 # loadtest storms an in-process server with the production traffic mix
 # (zipf-popular solves, streamed solves, reclaiming-session lifecycles with
 # watchers, jittered events and abandons, batch floods; open-loop arrivals,
@@ -106,6 +95,13 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Panic|Degraded|TenantQuota' ./internal/service/
 	$(GO) run ./cmd/energyload -chaos -rate 120 -duration 3s -n 10 -tenants 3 -fairness-k 0 \
 		-retries 3 -slo-error-rate 0.2
+
+# perfbench-test vets and tests the benchmark module against this checkout.
+# perfbench/ is its own Go module, so `go test ./...` never compiles it, yet
+# it calls the planner, executor, cache, session, and streaming code of this
+# module: a change there that breaks the benchmark fails here.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short fuzz pass over every fuzz target (decoders, canonical encoding, SP
 # recognizer, solve and plan requests). FUZZTIME tunes the per-target budget.

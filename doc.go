@@ -61,19 +61,23 @@
 // Theorems 1–2 apply, the exact Pareto DP on series-parallel shapes,
 // branch-and-bound or the interior point only where nothing cheaper exists.
 // The resulting Plan is explainable (per-component solver, rationale,
-// a-priori bound factor, cost estimate) and executable: Execute solves
-// independent components concurrently on a bounded worker pool and merges
-// the solutions by task ID.
+// a-priori bound factor, cost estimate) and executable: Execute runs it on
+// the planner's one component executor — the same pipeline (split → route
+// → solve → merge) behind the serving layer's solves and streams and the
+// reclaiming runtime's replans — which solves independent components
+// concurrently on a bounded worker pool and merges the solutions by task
+// ID.
 //
 //	pl, _ := energysched.Explain(prob, m, energysched.PlanOptions{})
 //	fmt.Print(pl)          // the routing table, one line per component
 //	sol, _ := pl.Execute() // components solve in parallel, energies sum
 //
 // Problem.SolvePlanned is the one-call form (split, solve concurrently,
-// merge), and Problem.SolveAuto the single-component structured dispatch.
-// On a disconnected multi-component workload the planner beats one
-// monolithic interior-point solve by an order of magnitude (`make
-// bench-plan` emits BENCH_plan.json with your machine's numbers).
+// merge) without the planner's routing, and Problem.SolveAuto the
+// single-component structured dispatch it runs per component. On a
+// disconnected multi-component workload the planner beats one monolithic
+// interior-point solve by an order of magnitude (the
+// mixed-8-continuous-planner and -direct scenarios of cmd/energybench).
 //
 // # Sparse interior-point kernel
 //
@@ -127,12 +131,12 @@
 // carries the plan that produced it, so results are auditable end to end.
 //
 // Internally, dispatch is built on a small generic stage framework
-// (internal/pipeline): a typed Source feeds typed Stages connected by
-// channels, each stage with its own worker count and buffer, with
-// first-error-wins cancellation propagated through a shared context.
-// Solve dispatch instantiates it as split → classify/route → solve →
-// merge: weakly-connected components stream out of classification into
-// the routed solver workers as they are found, and each solved component
+// (internal/pipeline): typed Stages connected by channels, each stage
+// with its own worker count and buffer, with first-error-wins
+// cancellation propagated through a shared context. Solve dispatch
+// instantiates it as split → classify/route → solve → merge:
+// weakly-connected components stream out of classification into the
+// routed solver workers as they are found, and each solved component
 // is available the moment its solver returns. The monolithic Solve waits
 // for the merge; SolveStream emits the intermediate stages as events —
 // a `plan` event per routing decision, a `component` event per solved
@@ -160,7 +164,8 @@
 // cached) until the queue drains. A build-tag-free fault-injection hook at
 // the solver, session-store, pipeline, and mmap sites drives the chaos
 // suite and energyload -chaos; panics anywhere in the solve path are
-// contained at recovery barriers, classified as internal errors, and
+// contained at recovery barriers — for every component solve, the
+// executor's pipeline stage runner — classified as internal errors, and
 // counted, and a panic recovered without injection armed fails the
 // harness.
 //

@@ -56,7 +56,7 @@ func Registry() []Scenario {
 		// Monolithic baseline for the disconnected workload below: one big
 		// interior-point solve. Expensive — fewer reps.
 		{Name: "multi-4-continuous-direct", Family: "multi", N: 4, Seed: 24, Model: contModel, Path: PathDirect, Warmup: 1, Reps: 3},
-		// The structurally mixed twin pair behind BENCH_plan.json: six
+		// The structurally mixed twin pair: six
 		// 160-task chains plus two layered DAGs (~1000 tasks). The
 		// monolithic direct solve runs the interior point over the whole
 		// union; the planner routes the chains to the Theorem 1 closed
@@ -85,8 +85,8 @@ func Registry() []Scenario {
 		{Name: "sp-10-discrete-service", Family: "sp", N: 10, Seed: 31, Model: discModel, Path: PathService},
 		{Name: "chain-32-vdd-service", Family: "chain", N: 32, Seed: 32, Model: vddModel, Path: PathService},
 		{Name: "gnp-16-incremental-service", Family: "gnp", N: 16, Seed: 33, Model: incrModel, Path: PathService},
-		// The repeated-instance pair behind BENCH_service.json: every
-		// request full-solves (cold) vs every request a cache hit (hit).
+		// The repeated-instance pair: every request full-solves (cold) vs
+		// every request a cache hit (hit).
 		// 240 tasks keeps the solve — not HTTP transport — the dominant
 		// cost the cache removes, now that the sparse kernel has made
 		// small interior-point instances transport-cheap.

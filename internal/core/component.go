@@ -1,16 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/resilience"
+	"repro/internal/pipeline"
 	"repro/internal/sched"
 )
 
@@ -63,6 +64,13 @@ func (p *Problem) SplitComponents() ([]Component, error) {
 // diagnostics aggregate (counters sum, Exact ANDs, BoundFactor takes the
 // worst component since Σ ρⱼ·Eⱼ* ≤ max ρⱼ · Σ Eⱼ*).
 func (p *Problem) MergeSolutions(comps []Component, sols []*Solution) (*Solution, error) {
+	return p.MergeSolutionsAt(comps, sols, nil)
+}
+
+// MergeSolutionsAt is MergeSolutions for a residual problem whose task i
+// may not start before release[i] (nil: 0). The merged schedule keeps the
+// release times, so start times stay where the component solvers put them.
+func (p *Problem) MergeSolutionsAt(comps []Component, sols []*Solution, release []float64) (*Solution, error) {
 	if len(comps) != len(sols) {
 		return nil, fmt.Errorf("core: %d solutions for %d components", len(sols), len(comps))
 	}
@@ -88,7 +96,7 @@ func (p *Problem) MergeSolutions(comps []Component, sols []*Solution) (*Solution
 		if sol.Stats.FrontierPeak > st.FrontierPeak {
 			st.FrontierPeak = sol.Stats.FrontierPeak
 		}
-		st.Exact = st.Exact && sol.Stats.Exact
+		st.Exact = st.Exact && sol.Stats.Exact && !math.IsInf(sol.Stats.BoundFactor, 1)
 		if sol.Stats.BoundFactor > st.BoundFactor {
 			st.BoundFactor = sol.Stats.BoundFactor
 		}
@@ -99,7 +107,7 @@ func (p *Problem) MergeSolutions(comps []Component, sols []*Solution) (*Solution
 	}
 	sort.Strings(names)
 	st.Algorithm = fmt.Sprintf("planned(%d components: %s)", len(comps), strings.Join(names, ", "))
-	s, err := sched.FromProfiles(p.G, profiles)
+	s, err := sched.FromProfilesAt(p.G, profiles, release)
 	if err != nil {
 		return nil, err
 	}
@@ -231,9 +239,9 @@ func (p *Problem) SolveAuto(m model.Model, opts PlannedOptions) (*Solution, erro
 
 // SolvePlanned is the component-aware entry point: it splits the execution
 // graph into weakly-connected components, solves each independently with
-// SolveAuto on a bounded worker pool (the deadline applies per component),
-// and merges the solutions. A connected graph degenerates to SolveAuto with
-// no overhead or copying.
+// SolveAuto on a pipeline of at most Workers solver goroutines (the
+// deadline applies per component), and merges the solutions. A connected
+// graph degenerates to SolveAuto with no overhead or copying.
 func (p *Problem) SolvePlanned(m model.Model, opts PlannedOptions) (*Solution, error) {
 	comps, err := p.SplitComponents()
 	if err != nil {
@@ -242,52 +250,26 @@ func (p *Problem) SolvePlanned(m model.Model, opts PlannedOptions) (*Solution, e
 	if len(comps) == 1 {
 		return p.SolveAuto(m, opts)
 	}
-	sols, err := SolveComponents(comps, opts.workers(), func(_ int, c Component) (*Solution, error) {
-		return c.Prob.SolveAuto(m, opts)
-	})
-	if err != nil {
+	ids := make([]int, len(comps))
+	for i := range ids {
+		ids[i] = i
+	}
+	sols := make([]*Solution, len(comps))
+	pp := pipeline.New(context.TODO())
+	pipeline.Attach(pp, pipeline.Stage[int, struct{}]{ // emits nothing: Wait is the join
+		Name:    "solve",
+		Workers: min(opts.workers(), len(comps)),
+		Do: func(_ context.Context, i int, _ func(struct{}) error) (err error) {
+			sols[i], err = comps[i].Prob.SolveAuto(m, opts)
+			return err
+		},
+	}, pipeline.Items(ids))
+	if err := pp.Wait(); err != nil {
+		var se *pipeline.Error
+		if errors.As(err, &se) {
+			err = se.Err // report the solver's error as an inline solve would
+		}
 		return nil, err
 	}
 	return p.MergeSolutions(comps, sols)
-}
-
-// SolveComponents runs solve over every component on a pool of at most
-// workers goroutines and returns the solutions in component order. The first
-// error wins; remaining solves still run to completion (solver kernels are
-// not interruptible) before it is returned.
-func SolveComponents(comps []Component, workers int, solve func(int, Component) (*Solution, error)) ([]*Solution, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	sols := make([]*Solution, len(comps))
-	errs := make([]error, len(comps))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range comps {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Solver panics become that component's error instead of
-			// killing the process — these goroutines are beyond any
-			// HTTP-layer recovery.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = resilience.RecoverPanic(fmt.Sprintf("component %d solve", i), r)
-				}
-			}()
-			sols[i], errs[i] = solve(i, comps[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sols, nil
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/convex"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/lru"
 )
 
 // The continuous geometric program splits cleanly along the
@@ -102,38 +101,23 @@ type kernelKey struct {
 	ordering convex.Ordering
 }
 
-// KernelCache is a bounded, mutex-guarded LRU of compiled continuous
-// kernels keyed by graph structure. Entries are immutable and safe to
-// share: the sparse program inside pools its own per-solve workspaces,
-// so N concurrent solves can hit one entry. A value-miss/structure-hit
-// request skips the transitive reduction, CSR assembly, ordering, and
-// symbolic factorization entirely.
+// KernelCache is a bounded LRU of compiled continuous kernels keyed by
+// graph structure. Entries are immutable and safe to share: the sparse
+// program inside pools its own per-solve workspaces, so N concurrent
+// solves can hit one entry. A value-miss/structure-hit request skips the
+// transitive reduction, CSR assembly, ordering, and symbolic factorization
+// entirely.
 type KernelCache struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used
-	entries map[kernelKey]*list.Element
+	lru *lru.Cache[kernelKey, *continuousKernel]
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-type kernelEntry struct {
-	key kernelKey
-	ker *continuousKernel
-}
-
 // NewKernelCache returns a cache holding up to cap compiled kernels;
 // cap < 1 is clamped to 1.
 func NewKernelCache(cap int) *KernelCache {
-	if cap < 1 {
-		cap = 1
-	}
-	return &KernelCache{
-		cap:     cap,
-		order:   list.New(),
-		entries: make(map[kernelKey]*list.Element),
-	}
+	return &KernelCache{lru: lru.New[kernelKey, *continuousKernel](max(cap, 1))}
 }
 
 // kernel returns the compiled kernel for g under opts, compiling and
@@ -142,32 +126,12 @@ func NewKernelCache(cap int) *KernelCache {
 // entries are interchangeable and the race is rare.
 func (c *KernelCache) kernel(g *graph.Graph, hasHi bool, opts ContinuousOptions) *continuousKernel {
 	key := kernelKey{fp: g.StructuralFingerprint(), hasHi: hasHi, workers: opts.Workers, ordering: opts.Ordering}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		ker := el.Value.(*kernelEntry).ker
-		c.mu.Unlock()
+	if ker, ok := c.lru.Get(key); ok {
 		c.hits.Add(1)
 		return ker
 	}
-	c.mu.Unlock()
 	c.misses.Add(1)
-
-	ker := compileContinuousKernel(g, hasHi, opts, false)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*kernelEntry).ker
-	}
-	c.entries[key] = c.order.PushFront(&kernelEntry{key: key, ker: ker})
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*kernelEntry).key)
-	}
-	return ker
+	return c.lru.LoadOrAdd(key, compileContinuousKernel(g, hasHi, opts, false))
 }
 
 // Hits returns the lookup-hit count.
@@ -177,8 +141,4 @@ func (c *KernelCache) Hits() uint64 { return c.hits.Load() }
 func (c *KernelCache) Misses() uint64 { return c.misses.Load() }
 
 // Len returns the number of cached kernels.
-func (c *KernelCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
+func (c *KernelCache) Len() int { return c.lru.Len() }

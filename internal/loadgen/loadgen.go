@@ -148,8 +148,9 @@ type Config struct {
 	// (default 8).
 	EventBatch int
 	// AbandonRate is the fraction of session ops that never delete their
-	// session (default 0.25): half abandon mid-execution (an idle ghost),
-	// half after the last completion (a finished ghost).
+	// session (default 0.25, negative for none): half abandon
+	// mid-execution (an idle ghost), half after the last completion (a
+	// finished ghost).
 	AbandonRate float64
 	// JitterValues, when positive, perturbs every arrival's numeric values:
 	// each task weight is scaled by a seeded factor in [1−J, 1+J] and the
@@ -230,6 +231,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.EventBatch <= 0 {
 		c.EventBatch = 8
+	}
+	if c.AbandonRate == 0 {
+		c.AbandonRate = 0.25
 	}
 	if c.AbandonRate < 0 {
 		c.AbandonRate = 0

@@ -1,4 +1,4 @@
-// Package pipeline is a small generic stage framework for streaming
+// Package pipeline is a small generic stage framework for component
 // dispatch: a Pipeline owns a context, stages are linked by channels,
 // and each stage runs a fixed pool of workers that consume items from
 // an input channel and emit zero or more outputs downstream.
@@ -16,14 +16,14 @@
 //     into every stage, so a disconnecting HTTP client (request context
 //     done) tears the whole pipeline down.
 //
-// Stages are attached with the free functions Source and Attach rather
-// than methods because Go methods cannot introduce type parameters.
+// Stages are attached with the free function Attach rather than a method
+// because Go methods cannot introduce type parameters. The first stage
+// reads any channel; Items makes one from a slice known up front.
 //
 // Typical shape:
 //
 //	pp := pipeline.New(ctx)
-//	idx := pipeline.Source(pp, "components", 4, feed)
-//	planned := pipeline.Attach(pp, pipeline.Stage[int, planned]{...}, idx)
+//	planned := pipeline.Attach(pp, pipeline.Stage[int, planned]{...}, pipeline.Items(ids))
 //	solved := pipeline.Attach(pp, pipeline.Stage[planned, solved]{...}, planned)
 //	for s := range solved { ... }
 //	err := pp.Wait()
@@ -33,12 +33,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/resilience"
 )
 
 // Pipeline ties a set of stages to one cancellable context. Zero or
-// more stages are attached with Source/Attach; Wait blocks until all
+// more stages are attached with Attach; Wait blocks until all
 // of them finish and reports the first failure.
 type Pipeline struct {
 	ctx    context.Context
@@ -52,11 +53,6 @@ func New(parent context.Context) *Pipeline {
 	ctx, cancel := context.WithCancelCause(parent)
 	return &Pipeline{ctx: ctx, cancel: cancel}
 }
-
-// Context returns the pipeline's context. Stage workers receive it via
-// their Do callback; external consumers can select on Context().Done()
-// while reading the final stage's output channel.
-func (p *Pipeline) Context() context.Context { return p.ctx }
 
 // Fail cancels the pipeline with the given cause. Safe to call from
 // any goroutine; the first cause wins. Consumers that stop reading a
@@ -120,13 +116,18 @@ func Attach[I, O any](p *Pipeline, st Stage[I, O], in <-chan I) <-chan O {
 			return cause(p.ctx)
 		}
 	}
-	var stage sync.WaitGroup
-	stage.Add(workers)
-	p.wg.Add(workers + 1)
+	// The last worker to finish closes the output channel.
+	var live atomic.Int32
+	live.Store(int32(workers))
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer p.wg.Done()
-			defer stage.Done()
+			defer func() {
+				if live.Add(-1) == 0 {
+					close(out)
+				}
+			}()
 			for {
 				var item I
 				var ok bool
@@ -145,16 +146,11 @@ func Attach[I, O any](p *Pipeline, st Stage[I, O], in <-chan I) <-chan O {
 			}
 		}()
 	}
-	go func() {
-		defer p.wg.Done()
-		stage.Wait()
-		close(out)
-	}()
 	return out
 }
 
 // runStage invokes one Do call behind the fault-injection hook and a
-// recover barrier: a panicking stage (or feed) fails the pipeline with an
+// recover barrier: a panicking stage fails the pipeline with an
 // internal error instead of crashing the process — the stage goroutines
 // are spawned here, out of reach of any HTTP-layer recovery.
 func runStage[I, O any](ctx context.Context, st Stage[I, O], item I, emit func(O) error) (err error) {
@@ -169,36 +165,15 @@ func runStage[I, O any](ctx context.Context, st Stage[I, O], item I, emit func(O
 	return st.Do(ctx, item, emit)
 }
 
-// Source attaches a producer stage with no input: feed runs in a
-// single goroutine and emits items until done. The returned channel is
-// closed when feed returns or the pipeline is cancelled.
-func Source[T any](p *Pipeline, name string, buffer int, feed func(ctx context.Context, emit func(T) error) error) <-chan T {
-	out := make(chan T, buffer)
-	emit := func(t T) error {
-		select {
-		case out <- t:
-			return nil
-		case <-p.ctx.Done():
-			return cause(p.ctx)
-		}
+// Items returns a closed channel holding items in order: a source for a
+// first stage whose input is known up front, with no feed goroutine.
+func Items[T any](items []T) <-chan T {
+	ch := make(chan T, len(items))
+	for _, it := range items {
+		ch <- it
 	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(out)
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = resilience.RecoverPanic("pipeline source "+name, r)
-				}
-			}()
-			return feed(p.ctx, emit)
-		}()
-		if err != nil {
-			p.cancel(stageError(name, err))
-		}
-	}()
-	return out
+	close(ch)
+	return ch
 }
 
 // cause returns the context's cancellation cause, falling back to the

@@ -9,18 +9,37 @@ import (
 	"time"
 )
 
+// upTo returns 0, 1, …, n-1.
+func upTo(n int) []int {
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i
+	}
+	return xs
+}
+
+// counter feeds 0, 1, 2, … on an unbuffered channel until pp is
+// cancelled, then closes it: an endless input for the cancellation tests.
+func counter(pp *Pipeline) <-chan int {
+	ch := make(chan int)
+	go func() {
+		defer close(ch)
+		for i := 0; ; i++ {
+			select {
+			case ch <- i:
+			case <-pp.ctx.Done():
+				return
+			}
+		}
+	}()
+	return ch
+}
+
 // TestLinear checks a two-stage pipeline transforms every item exactly
 // once and Wait returns nil on clean completion.
 func TestLinear(t *testing.T) {
 	pp := New(context.Background())
-	src := Source(pp, "src", 0, func(ctx context.Context, emit func(int) error) error {
-		for i := 0; i < 100; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	src := Items(upTo(100))
 	doubled := Attach(pp, Stage[int, int]{
 		Name:    "double",
 		Workers: 4,
@@ -52,13 +71,7 @@ func TestLinear(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
 	pp := New(context.Background())
-	src := Source(pp, "src", 0, func(ctx context.Context, emit func(int) error) error {
-		for i := 0; ; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-	})
+	src := counter(pp)
 	out := Attach(pp, Stage[int, int]{
 		Name:    "fail",
 		Workers: 2,
@@ -88,13 +101,7 @@ func TestParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pp := New(ctx)
 	var started atomic.Int64
-	src := Source(pp, "src", 0, func(ctx context.Context, emit func(int) error) error {
-		for i := 0; ; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-	})
+	src := counter(pp)
 	out := Attach(pp, Stage[int, int]{
 		Name: "slow",
 		Do: func(ctx context.Context, v int, emit func(int) error) error {
@@ -118,13 +125,7 @@ func TestParentCancel(t *testing.T) {
 func TestFailUnblocksEmitters(t *testing.T) {
 	stop := errors.New("consumer gave up")
 	pp := New(context.Background())
-	src := Source(pp, "src", 0, func(ctx context.Context, emit func(int) error) error {
-		for i := 0; ; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-	})
+	src := counter(pp)
 	out := Attach(pp, Stage[int, int]{
 		Name: "id",
 		Do: func(ctx context.Context, v int, emit func(int) error) error {
@@ -145,13 +146,11 @@ func TestFailUnblocksEmitters(t *testing.T) {
 	}
 }
 
-// TestZeroItems checks an empty source still closes downstream
+// TestZeroItems checks an empty input still closes downstream
 // channels and completes cleanly.
 func TestZeroItems(t *testing.T) {
 	pp := New(context.Background())
-	src := Source(pp, "src", 0, func(ctx context.Context, emit func(int) error) error {
-		return nil
-	})
+	src := Items([]int(nil))
 	out := Attach(pp, Stage[int, int]{
 		Name: "id",
 		Do: func(ctx context.Context, v int, emit func(int) error) error {
@@ -163,7 +162,7 @@ func TestZeroItems(t *testing.T) {
 		n++
 	}
 	if n != 0 {
-		t.Fatalf("got %d items from empty source", n)
+		t.Fatalf("got %d items from empty input", n)
 	}
 	if err := pp.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -175,14 +174,7 @@ func TestZeroItems(t *testing.T) {
 func TestFanOutOrderIndependence(t *testing.T) {
 	pp := New(context.Background())
 	const n = 500
-	src := Source(pp, "src", 8, func(ctx context.Context, emit func(int) error) error {
-		for i := 0; i < n; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	src := Items(upTo(n))
 	out := Attach(pp, Stage[int, int]{
 		Name:    "work",
 		Workers: 8,

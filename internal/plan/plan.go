@@ -3,10 +3,14 @@
 // classification as chain / fork / join / tree / series-parallel / general
 // DAG — and routes each component to the cheapest solver the paper's
 // complexity landscape (Theorems 1–5) admits, producing an explainable Plan
-// before any solving happens. Executing the plan solves independent
-// components concurrently on a bounded worker pool and merges the solutions
-// (energy is additive across components sharing the deadline; speed vectors
-// stitch back by task ID).
+// before any solving happens.
+//
+// One component executor runs every solve — Plan.Execute, residual
+// replans (Replan), and Solve, the serving layer's entry — as a pipeline
+// on internal/pipeline: split → route → solve → merge, with the route
+// stage ahead of a bounded pool of solver workers and panics contained by
+// the stage runner. The merge stitches the component solutions back by
+// task ID (energy is additive across components sharing the deadline).
 //
 // The routing table, for the auto selector:
 //
@@ -174,7 +178,8 @@ type Plan struct {
 	Deadline float64
 	// Components holds one routing decision per weakly-connected component.
 	Components []ComponentPlan
-	// Workers bounds concurrent component solves during Execute.
+	// Workers bounds concurrent component solves during Execute and Replan
+	// (default GOMAXPROCS).
 	Workers int
 
 	rt    *Router
@@ -189,9 +194,9 @@ type Plan struct {
 // model/algorithm/options bundle that classifies and routes one component at
 // a time (Route) and dispatches a routed component to its solver (Solve).
 // Analyze is a Router applied to every component of a split problem at once;
-// the streaming dispatch path in internal/service drives a Router
-// incrementally instead, emitting each component's plan and solution as soon
-// as they exist rather than after the whole instance finishes.
+// Solve drives it from the executor's route stage instead, so each
+// component's plan and solution surface as soon as they exist rather than
+// after the whole instance finishes.
 //
 // A Router is immutable after NewRouter and safe for concurrent use.
 type Router struct {
@@ -229,9 +234,6 @@ func NewRouter(m model.Model, opts Options) (*Router, error) {
 	}
 	return rt, nil
 }
-
-// Algorithm returns the validated selector (auto or a forced algorithm).
-func (rt *Router) Algorithm() string { return rt.algo }
 
 // Route classifies one component and picks its solver. rel carries
 // component-local release times on residual plans (nil otherwise). The sp
@@ -299,23 +301,6 @@ func (rt *Router) degrade(c core.Component, cp *ComponentPlan) {
 	cp.Cost = float64(g.N())
 }
 
-// Assemble builds a Plan from routing decisions produced incrementally with
-// Router.Route — the streaming dispatch path's way back to the Plan-shaped
-// response (PlanJSON, Exact, String) once every component has been routed.
-// comps and cps must be index-aligned per SplitComponents order.
-func Assemble(p *core.Problem, rt *Router, comps []core.Component, cps []ComponentPlan, workers int) *Plan {
-	return &Plan{
-		Algorithm:  rt.algo,
-		Model:      rt.m,
-		Deadline:   p.Deadline,
-		Components: cps,
-		Workers:    workers,
-		rt:         rt,
-		prob:       p,
-		comps:      comps,
-	}
-}
-
 // Classify recognizes the most specific structure class of g, checking the
 // cheap shapes first: chain, fork, join, tree, then series-parallel on the
 // transitive reduction, and general DAG when everything else fails.
@@ -360,6 +345,25 @@ func Analyze(p *core.Problem, m model.Model, opts Options) (*Plan, error) {
 
 // analyze is the shared implementation behind Analyze and AnalyzeResidual.
 func analyze(p *core.Problem, m model.Model, opts Options, res *Residual) (*Plan, error) {
+	pl, err := newPlan(p, m, opts, res)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range pl.comps {
+		cp, err := pl.rt.Route(c, res.sliceRelease(c.Tasks))
+		if err != nil {
+			return nil, err
+		}
+		cp.warm = res.sliceWarm(c.Tasks, m)
+		cp.reusable = res.reusable(c.Tasks, m)
+		pl.Components[i] = cp
+	}
+	return pl, nil
+}
+
+// newPlan validates the model/algorithm combination and splits p into its
+// weakly-connected components, leaving every component unrouted.
+func newPlan(p *core.Problem, m model.Model, opts Options, res *Residual) (*Plan, error) {
 	rt, err := NewRouter(m, opts)
 	if err != nil {
 		return nil, err
@@ -368,27 +372,17 @@ func analyze(p *core.Problem, m model.Model, opts Options, res *Residual) (*Plan
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{
+	return &Plan{
 		Algorithm:  rt.algo,
 		Model:      m,
 		Deadline:   p.Deadline,
-		Components: make([]ComponentPlan, 0, len(comps)),
+		Components: make([]ComponentPlan, len(comps)),
 		Workers:    opts.Workers,
 		rt:         rt,
 		prob:       p,
 		comps:      comps,
 		res:        res,
-	}
-	for _, c := range comps {
-		cp, err := rt.Route(c, res.sliceRelease(c.Tasks))
-		if err != nil {
-			return nil, err
-		}
-		cp.warm = res.sliceWarm(c.Tasks, m)
-		cp.reusable = res.reusable(c.Tasks, m)
-		pl.Components = append(pl.Components, cp)
-	}
-	return pl, nil
+	}, nil
 }
 
 // dedupeNote annotates interior-point rationales for dense components:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/resilience"
 )
 
 // disjointUnion places the given graphs side by side on one task-ID space
@@ -299,6 +300,39 @@ func TestForcedSelectorsOnComponents(t *testing.T) {
 			if diff := math.Abs(sol.Energy - direct.Energy); diff > 1e-9*direct.Energy {
 				t.Fatalf("%s: planned %.12g vs exact %.12g", algo, sol.Energy, direct.Energy)
 			}
+		}
+	}
+}
+
+// TestExecuteSolverPanic pins the solver fault site on Execute: every
+// component solve passes through it, so a panic armed there fails Execute
+// with a recovered-panic error instead of crashing the caller — on a
+// connected plan as well as a disconnected one — and the plan stays
+// usable once the fault is spent.
+func TestExecuteSolverPanic(t *testing.T) {
+	cont, _ := model.NewContinuous(2)
+	chain := func() *graph.Graph {
+		g := graph.New()
+		g.AddTasks(3, 1)
+		g.MustAddEdge(0, 1)
+		g.MustAddEdge(1, 2)
+		return g
+	}
+	for _, g := range []*graph.Graph{chain(), disjointUnion(chain(), nGraph(), chain())} {
+		pl, err := Analyze(mustProblem(t, g, feasibleDeadline(t, g, 2, 1.5)), cont, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resilience.Arm(resilience.NewFaults(1, map[resilience.Site]resilience.SiteFaults{
+			resilience.SiteSolver: {PanicRate: 1, Times: 1},
+		}))
+		_, err = pl.Execute()
+		resilience.Disarm()
+		if !errors.Is(err, resilience.ErrPanic) {
+			t.Fatalf("%d components: Execute = %v, want a recovered panic", len(pl.Components), err)
+		}
+		if _, err := pl.Execute(); err != nil {
+			t.Fatalf("%d components: Execute after the fault: %v", len(pl.Components), err)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package plan
 
 import (
+	"context"
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -69,6 +67,12 @@ func (res *Residual) sliceWarm(tasks []int, m model.Model) *core.WarmStart {
 	if res == nil || res.Cold {
 		return nil
 	}
+	return res.slicePrev(tasks, m)
+}
+
+// slicePrev extracts the component-local copy of the previous solution:
+// profiles for Vdd-Hopping, constant speeds otherwise (nil when absent).
+func (res *Residual) slicePrev(tasks []int, m model.Model) *core.WarmStart {
 	ws := &core.WarmStart{}
 	if m.Kind == model.VddHopping {
 		if res.PrevProfiles == nil {
@@ -135,24 +139,14 @@ type ReplanResult struct {
 	WarmSeeded int
 }
 
-// Replan executes a residual plan incrementally: the dirty components (IDs
-// into prev.Components) re-solve — warm-started from the previous solution
-// unless the residual is Cold — and every other component replays its
-// previous speeds verbatim. A clean component without previous data is
-// treated as dirty. The merged solution covers the whole residual problem.
-func Replan(prev *Plan, dirty []ComponentID) (*ReplanResult, error) {
-	return ReplanEmit(prev, dirty, nil)
-}
-
-// ReplanEmit is Replan with a component-granular observer: emit (when
-// non-nil) fires once per re-solved component the moment its solver
-// succeeds — while other dirty components may still be solving — with the
-// component's index into prev.Components and its standalone solution.
-// Replayed (clean) components are not emitted; they carry no new
-// information. emit runs on solver goroutines: it must be safe for
-// concurrent use and should not block. The merged result is identical to
-// Replan's.
-func ReplanEmit(prev *Plan, dirty []ComponentID, emit func(i int, sol *core.Solution)) (*ReplanResult, error) {
+// Replan executes a residual plan incrementally on the component
+// executor: the dirty components (IDs into prev.Components) re-solve —
+// warm-started from the previous solution unless the residual is Cold —
+// and every other component replays its previous speeds verbatim. A clean
+// component without previous data is treated as dirty. The merged solution
+// covers the whole residual problem. obs sees the re-solved components
+// only; replayed ones carry no new information.
+func Replan(prev *Plan, dirty []ComponentID, obs Observer) (*ReplanResult, error) {
 	if prev == nil {
 		return nil, badPlan("nil plan")
 	}
@@ -163,51 +157,24 @@ func ReplanEmit(prev *Plan, dirty []ComponentID, emit func(i int, sol *core.Solu
 		}
 		isDirty[id] = true
 	}
-	for i, cp := range prev.Components {
-		if !cp.reusable {
-			isDirty[i] = true
-		}
-	}
-
 	out := &ReplanResult{}
 	sols := make([]*core.Solution, len(prev.comps))
-	var solveIdx []int
-	for i := range prev.Components {
-		if isDirty[i] {
-			solveIdx = append(solveIdx, i)
+	for i, cp := range prev.Components {
+		if isDirty[i] || !cp.reusable {
+			out.Resolved++
+			if cp.warm != nil {
+				out.WarmSeeded++
+			}
 			continue
 		}
-		sol, err := prev.reuseComponent(prev.comps[i], prev.Components[i])
+		sol, err := prev.reuseComponent(prev.comps[i], cp)
 		if err != nil {
 			return nil, fmt.Errorf("plan: replaying clean component %d: %w", i, err)
 		}
 		sols[i] = sol
 		out.Reused++
 	}
-	if len(solveIdx) > 0 {
-		comps := make([]core.Component, len(solveIdx))
-		for k, i := range solveIdx {
-			comps[k] = prev.comps[i]
-			if prev.Components[i].warm != nil {
-				out.WarmSeeded++
-			}
-		}
-		solved, err := core.SolveComponents(comps, prev.Workers, func(k int, c core.Component) (*core.Solution, error) {
-			sol, err := prev.rt.Solve(c.Prob, prev.Components[solveIdx[k]])
-			if err == nil && emit != nil {
-				emit(solveIdx[k], sol)
-			}
-			return sol, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range solveIdx {
-			sols[i] = solved[k]
-		}
-		out.Resolved = len(solveIdx)
-	}
-	merged, err := prev.mergeResidual(sols)
+	merged, err := prev.run(context.TODO(), false, sols, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -218,27 +185,18 @@ func ReplanEmit(prev *Plan, dirty []ComponentID, emit func(i int, sol *core.Solu
 // reuseComponent rebuilds a component's solution from the previous speeds
 // or profiles without solving.
 func (pl *Plan) reuseComponent(c core.Component, cp ComponentPlan) (*core.Solution, error) {
-	m := pl.Model
 	var s *sched.Schedule
 	var err error
-	if m.Kind == model.VddHopping {
-		profiles := make([]sched.Profile, len(c.Tasks))
-		for local, id := range c.Tasks {
-			profiles[local] = pl.res.PrevProfiles[id]
-		}
-		s, err = sched.FromProfilesAt(c.Prob.G, profiles, cp.release)
+	if prev := pl.res.slicePrev(c.Tasks, pl.Model); prev.Profiles != nil {
+		s, err = sched.FromProfilesAt(c.Prob.G, prev.Profiles, cp.release)
 	} else {
-		speeds := make([]float64, len(c.Tasks))
-		for local, id := range c.Tasks {
-			speeds[local] = pl.res.PrevSpeeds[id]
-		}
-		s, err = sched.FromSpeedsAt(c.Prob.G, speeds, cp.release)
+		s, err = sched.FromSpeedsAt(c.Prob.G, prev.Speeds, cp.release)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &core.Solution{
-		Model:    m,
+		Model:    pl.Model,
 		Schedule: s,
 		Energy:   s.Energy,
 		Stats: core.Stats{
@@ -247,54 +205,4 @@ func (pl *Plan) reuseComponent(c core.Component, cp ComponentPlan) (*core.Soluti
 			BoundFactor: cp.BoundFactor,
 		},
 	}, nil
-}
-
-// mergeResidual stitches per-component residual solutions back onto the
-// full residual graph with its release times (MergeSolutions' release-blind
-// twin would misplace start times).
-func (pl *Plan) mergeResidual(sols []*core.Solution) (*core.Solution, error) {
-	p := pl.prob
-	if len(pl.comps) == 1 && pl.comps[0].Prob == p {
-		return sols[0], nil
-	}
-	profiles := make([]sched.Profile, p.G.N())
-	st := core.Stats{Exact: true, BoundFactor: 1}
-	var names []string
-	seen := map[string]bool{}
-	for ci, sol := range sols {
-		if sol == nil || sol.Schedule == nil {
-			return nil, fmt.Errorf("plan: component %d has no solution", ci)
-		}
-		for local, id := range pl.comps[ci].Tasks {
-			profiles[id] = sol.Schedule.Profiles[local]
-		}
-		st.Nodes += sol.Stats.Nodes
-		st.Pivots += sol.Stats.Pivots
-		st.Newton += sol.Stats.Newton
-		if sol.Stats.FrontierPeak > st.FrontierPeak {
-			st.FrontierPeak = sol.Stats.FrontierPeak
-		}
-		st.Exact = st.Exact && sol.Stats.Exact
-		if sol.Stats.BoundFactor > st.BoundFactor {
-			st.BoundFactor = sol.Stats.BoundFactor
-		}
-		if !seen[sol.Stats.Algorithm] {
-			seen[sol.Stats.Algorithm] = true
-			names = append(names, sol.Stats.Algorithm)
-		}
-	}
-	sort.Strings(names)
-	st.Algorithm = fmt.Sprintf("replanned(%d components: %s)", len(pl.comps), strings.Join(names, ", "))
-	var release []float64
-	if pl.res != nil {
-		release = pl.res.Release
-	}
-	s, err := sched.FromProfilesAt(p.G, profiles, release)
-	if err != nil {
-		return nil, err
-	}
-	if math.IsInf(st.BoundFactor, 1) {
-		st.Exact = false
-	}
-	return &core.Solution{Model: pl.Model, Schedule: s, Energy: s.Energy, Stats: st}, nil
 }

@@ -1,20 +1,19 @@
 package plan
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lru"
 )
 
 // StructureCache is the planner's half of the structure-keyed amortization
-// layer: a bounded, mutex-guarded LRU from a component graph's structural
-// fingerprint to its classification artifacts — the recognized Class, the
-// series-parallel expression (pure task-ID structure, shared as-is), and
-// the transitive reduction (whose weights are stale by construction, so
-// every hit re-clothes it in the requesting graph's current weights via
+// layer: a bounded LRU from a component graph's structural fingerprint to
+// its classification artifacts — the recognized Class, the series-parallel
+// expression (pure task-ID structure, shared as-is), and the transitive
+// reduction (whose weights are stale by construction, so every hit
+// re-clothes it in the requesting graph's current weights via
 // CloneWithWeights). It also owns the core.KernelCache that amortizes the
 // continuous solver's symbolic compilation, so one cache object wired
 // through plan.Options covers both the O(n²·m) SP recognition and the
@@ -24,14 +23,9 @@ import (
 // reclaim sessions pin the structures their replans revisit — and pinned
 // entries are never evicted, so a session's replan stays structure-hit
 // for its whole lifetime even under cache pressure from unrelated
-// traffic.
+// traffic. Pins cover classification entries only, not compiled kernels.
 type StructureCache struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used
-	entries map[[32]byte]*list.Element
-	pins    map[[32]byte]int
-
+	lru     *lru.Cache[[32]byte, structEntry]
 	kernels *core.KernelCache
 
 	hits   atomic.Uint64
@@ -39,7 +33,6 @@ type StructureCache struct {
 }
 
 type structEntry struct {
-	key     [32]byte
 	class   Class
 	expr    *graph.SPExpr
 	reduced *graph.Graph // reduction structure; weights are stale, never read
@@ -49,14 +42,9 @@ type structEntry struct {
 // (cap < 1 is clamped to 1), with a kernel cache of the same capacity
 // beneath it.
 func NewStructureCache(cap int) *StructureCache {
-	if cap < 1 {
-		cap = 1
-	}
+	cap = max(cap, 1)
 	return &StructureCache{
-		cap:     cap,
-		order:   list.New(),
-		entries: make(map[[32]byte]*list.Element),
-		pins:    make(map[[32]byte]int),
+		lru:     lru.New[[32]byte, structEntry](cap),
 		kernels: core.NewKernelCache(cap),
 	}
 }
@@ -70,15 +58,11 @@ func (sc *StructureCache) Kernels() *core.KernelCache { return sc.kernels }
 // hit the O(n²·m) recognition is skipped entirely; the cached reduction
 // is cloned with g's current weights because downstream solvers read
 // weights off that graph. On a miss the classification runs and the
-// structural artifacts are inserted (double-checked: a concurrent insert
-// of the same key wins and the duplicate is dropped).
+// structural artifacts are inserted (a concurrent insert of the same key
+// wins and the duplicate is dropped).
 func (sc *StructureCache) classify(g *graph.Graph) (Class, artifacts) {
 	key := g.StructuralFingerprint()
-	sc.mu.Lock()
-	if el, ok := sc.entries[key]; ok {
-		sc.order.MoveToFront(el)
-		e := el.Value.(*structEntry)
-		sc.mu.Unlock()
+	if e, ok := sc.lru.Get(key); ok {
 		sc.hits.Add(1)
 		art := artifacts{expr: e.expr}
 		if e.reduced != nil {
@@ -86,62 +70,20 @@ func (sc *StructureCache) classify(g *graph.Graph) (Class, artifacts) {
 		}
 		return e.class, art
 	}
-	sc.mu.Unlock()
 	sc.misses.Add(1)
-
 	class, art := classify(g)
-
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if el, ok := sc.entries[key]; ok {
-		sc.order.MoveToFront(el)
-		return class, art
-	}
-	sc.entries[key] = sc.order.PushFront(&structEntry{key: key, class: class, expr: art.expr, reduced: art.reduced})
-	sc.evictLocked()
+	sc.lru.LoadOrAdd(key, structEntry{class: class, expr: art.expr, reduced: art.reduced})
 	return class, art
-}
-
-// evictLocked trims least-recently-used unpinned entries beyond cap.
-// When every entry is pinned the cache is allowed to exceed cap: pins are
-// a liveness promise to sessions, not a budget.
-func (sc *StructureCache) evictLocked() {
-	for sc.order.Len() > sc.cap {
-		var victim *list.Element
-		for el := sc.order.Back(); el != nil; el = el.Prev() {
-			if sc.pins[el.Value.(*structEntry).key] == 0 {
-				victim = el
-				break
-			}
-		}
-		if victim == nil {
-			return
-		}
-		sc.order.Remove(victim)
-		delete(sc.entries, victim.Value.(*structEntry).key)
-	}
 }
 
 // Pin marks the structure key as in use: pinned keys survive eviction.
 // Pins are counted, so independent owners pin and unpin symmetrically.
 // Pinning a key with no cache entry yet is allowed — the pin applies when
 // the entry appears.
-func (sc *StructureCache) Pin(key [32]byte) {
-	sc.mu.Lock()
-	sc.pins[key]++
-	sc.mu.Unlock()
-}
+func (sc *StructureCache) Pin(key [32]byte) { sc.lru.Pin(key) }
 
 // Unpin releases one Pin reference on key.
-func (sc *StructureCache) Unpin(key [32]byte) {
-	sc.mu.Lock()
-	if sc.pins[key] > 1 {
-		sc.pins[key]--
-	} else {
-		delete(sc.pins, key)
-	}
-	sc.mu.Unlock()
-}
+func (sc *StructureCache) Unpin(key [32]byte) { sc.lru.Unpin(key) }
 
 // PinProblem pins the structure key of every weakly-connected component
 // of p and returns the pinned keys (for symmetric Unpin). Reclaim
@@ -168,17 +110,9 @@ func (sc *StructureCache) Hits() uint64 { return sc.hits.Load() }
 func (sc *StructureCache) Misses() uint64 { return sc.misses.Load() }
 
 // Len returns the number of cached structure entries.
-func (sc *StructureCache) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.order.Len()
-}
+func (sc *StructureCache) Len() int { return sc.lru.Len() }
 
 // Pinned returns the number of distinct structure keys currently pinned.
 // Leak detectors (the chaos suite) assert it returns to zero once every
 // session is closed — a nonzero residue means a session leaked its pins.
-func (sc *StructureCache) Pinned() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.pins)
-}
+func (sc *StructureCache) Pinned() int { return sc.lru.Pinned() }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -96,5 +97,38 @@ func TestConcurrentSessionsRace(t *testing.T) {
 	st := shared.Stats()
 	if st.Events != prob.G.N() {
 		t.Fatalf("accepted %d events for %d tasks", st.Events, prob.G.N())
+	}
+}
+
+// TestCloseRacingReplans closes a session while its events replan: Close
+// must not wait for them, and a closed session pins nothing more, so no
+// structure pin outlives it.
+func TestCloseRacingReplans(t *testing.T) {
+	m := testModels(t)["continuous"]
+	prob, sol := buildInstance(t, "layered", 16, 77, m, 1.7)
+	sc := plan.NewStructureCache(64)
+	s, err := NewSession(prob, m, sol, Options{Structures: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := Trace(prob.G, sol.Schedule, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, ev := range events {
+			ev.ActualDuration *= 0.9 // deviate: every event replans and pins
+			if _, err := s.ApplyEvent(ev); err != nil {
+				t.Errorf("event %+v: %v", ev, err)
+				return
+			}
+		}
+	}()
+	s.Close()
+	<-done
+	if n := sc.Pinned(); n != 0 {
+		t.Fatalf("%d structure pins outlived Close", n)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -53,7 +54,7 @@ type Options struct {
 	// K is the Theorem 5 accuracy parameter (default 4).
 	K int
 	// Workers bounds concurrent component re-solves within one replan
-	// (default 1: sessions typically share an engine-wide pool).
+	// (default GOMAXPROCS, like plan.Options.Workers).
 	Workers int
 	// Cold disables incremental reuse and warm starts: every dirty event
 	// re-solves the full residual from scratch. Benchmarks use it as the
@@ -68,10 +69,11 @@ type Options struct {
 	// Structures, when non-nil, amortizes structural work across the
 	// session's replans through the shared structure cache: residual
 	// classification and compiled continuous kernels hit per structural
-	// fingerprint. The session pins every structure it touches (the
-	// initial problem's components and each replan's residual components)
-	// so cache pressure from unrelated traffic cannot evict them
-	// mid-session; Close releases the pins.
+	// fingerprint. The session pins the classification entries (not the
+	// kernels) of every structure it touches — the initial problem's
+	// components and each replan's residual components — so cache pressure
+	// from unrelated traffic cannot evict them mid-session; Close releases
+	// the pins.
 	Structures *plan.StructureCache
 }
 
@@ -170,9 +172,12 @@ type Session struct {
 	infeasible     bool
 	stats          Stats
 
-	// pinned holds the structure-cache keys this session has pinned —
-	// exactly one pin per unique key, released by Close.
+	// pinned holds one pin per structure key this session touched until
+	// Close releases them and sets closed. pinMu guards both apart from mu,
+	// so Close never waits behind a replan.
+	pinMu  sync.Mutex
 	pinned map[[32]byte]bool
+	closed bool
 
 	// onComponent, when set, observes every re-solved residual component
 	// the moment its solver finishes (see SetOnComponent).
@@ -194,10 +199,10 @@ type ComponentUpdate struct {
 }
 
 // SetOnComponent registers an observer for re-solved residual components.
-// f fires once per dirtied component per replan, from a solver goroutine
-// while the session's event lock is held: it must not call back into the
-// session and should return quickly (push to a buffered channel, drop on
-// overflow). Passing nil removes the observer.
+// f fires once per dirtied component per replan, on the goroutine applying
+// the event while the session's event lock is held: it must not call back
+// into the session and should return quickly (push to a buffered channel,
+// drop on overflow). Passing nil removes the observer.
 func (s *Session) SetOnComponent(f func(ComponentUpdate)) {
 	s.mu.Lock()
 	s.onComponent = f
@@ -234,15 +239,20 @@ func NewSession(p *core.Problem, m model.Model, sol *core.Solution, opts Options
 // pinStructuresLocked pins the structure key of every component of p that
 // this session has not pinned yet, holding exactly one pin per unique key
 // for the session's lifetime. PinProblem pins unconditionally, so keys the
-// session already holds get their duplicate pin released immediately.
+// session already holds, and every key once the session is closed, get
+// their pin released immediately. The split and fingerprinting run before
+// pinMu is taken, so Close only ever waits for map updates.
 // Caller holds s.mu (or owns a not-yet-shared session).
 func (s *Session) pinStructuresLocked(p *core.Problem) {
 	sc := s.opts.Structures
 	if sc == nil {
 		return
 	}
-	for _, k := range sc.PinProblem(p) {
-		if s.pinned[k] {
+	keys := sc.PinProblem(p)
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	for _, k := range keys {
+		if s.closed || s.pinned[k] {
 			sc.Unpin(k)
 			continue
 		}
@@ -253,18 +263,19 @@ func (s *Session) pinStructuresLocked(p *core.Problem) {
 	}
 }
 
-// Close releases the session's structure-cache pins. Idempotent; sessions
-// without a structure cache need not call it. The session remains usable
-// afterwards — its structures just lose eviction immunity.
+// Close releases the session's structure-cache pins without waiting for a
+// replan in progress. Idempotent; sessions without a structure cache need
+// not call it. The session remains usable afterwards — its structures just
+// lose eviction immunity.
 func (s *Session) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
 	if sc := s.opts.Structures; sc != nil {
 		for k := range s.pinned {
 			sc.Unpin(k)
 		}
 	}
-	s.pinned = nil
+	s.pinned, s.closed = nil, true
 }
 
 // ReplanGate admits one residual re-solve into an external worker pool.
@@ -387,10 +398,10 @@ func (s *Session) ApplyEventGated(ev CompletionEvent, gate ReplanGate) (*EventRe
 		}
 		s.stats.Replans++
 		rr, err := func() (rr *plan.ReplanResult, err error) {
-			// A panicking replan (solver bug, injected fault) fails this
-			// event like any re-solve error — the completion stays
-			// recorded, the next event retries — instead of unwinding
-			// through the HTTP handler with s.mu held.
+			// A panic outside the executor's stages (residual split,
+			// classification, merge) fails this event like any re-solve
+			// error — the completion stays recorded, the next event
+			// retries — instead of unwinding through the HTTP handler.
 			defer func() {
 				if r := recover(); r != nil {
 					err = resilience.RecoverPanic("session replan", r)
@@ -480,24 +491,23 @@ func (s *Session) replanLocked() (*plan.ReplanResult, error) {
 			}
 		}
 	}
-	var emit func(ci int, sol *core.Solution)
+	var obs plan.Observer
 	if s.onComponent != nil {
-		obs := s.onComponent
-		emit = func(ci int, sol *core.Solution) {
+		obs.Component = func(_ *plan.Plan, ci int, sol *core.Solution) error {
 			cp := rp.Components[ci]
 			upd := ComponentUpdate{
 				Tasks:    make([]int, len(cp.Tasks)),
 				Energy:   sol.Energy,
-				Profiles: make([]sched.Profile, len(cp.Tasks)),
+				Profiles: slices.Clone(sol.Schedule.Profiles),
 			}
 			for k, local := range cp.Tasks {
 				upd.Tasks[k] = back[local]
-				upd.Profiles[k] = sol.Schedule.Profiles[k]
 			}
-			obs(upd)
+			s.onComponent(upd)
+			return nil
 		}
 	}
-	rr, err := plan.ReplanEmit(rp, dirty, emit)
+	rr, err := plan.Replan(rp, dirty, obs)
 	if err != nil {
 		// Keep the previous profiles (stale but complete); the needs
 		// flags stay set so the next event retries.

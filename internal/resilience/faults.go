@@ -25,12 +25,17 @@ import (
 type Site string
 
 const (
-	// SiteSolver fires once per component solve (streaming and monolithic
-	// dispatch share the stage).
+	// SiteSolver fires once per component solve, in the solve stage of
+	// the planner's component executor: service solves and streams,
+	// Plan.Execute, and session replans (not core.SolvePlanned).
 	SiteSolver Site = "solver"
 	// SiteStore fires on session-store operations (create, lookup).
 	SiteStore Site = "store"
-	// SitePipeline fires once per item in every pipeline stage worker.
+	// SitePipeline fires once per item in every pipeline stage worker:
+	// the planner executor's route and solve stages (service solves and
+	// streams, Plan.Execute, session replans) and the solve stage of
+	// core.SolvePlanned. The reference solve stays on this hook; only
+	// tests and energyload -chaos arm faults, and neither calls it.
 	SitePipeline Site = "pipeline"
 	// SiteMmap fires when a memory-mapped instance file is opened.
 	SiteMmap Site = "mmap"

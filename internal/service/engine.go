@@ -3,14 +3,15 @@
 // across a bounded worker pool and fronts the solvers with an LRU result
 // cache keyed by a canonical hash of the execution graph, deadline, and
 // model parameters — repeated instances skip the solver entirely. Every
-// solve routes through the structure-aware planner (internal/plan), which
-// classifies each weakly-connected component of the execution graph and
-// solves the components independently (concurrently per request when
-// Options.PlanWorkers allows); the resulting plan is attached to the
-// response. The HTTP handlers in this package expose the same Engine
-// over JSON endpoints (POST /v1/solve, POST /v1/solve/batch, POST /v1/plan
-// for analysis without solving, GET /v1/stats, GET /healthz);
-// cmd/energyserver wraps them in a binary.
+// solve runs on the planner's one component executor (plan.Solve), which
+// routes each weakly-connected component by its structure and solves the
+// components (concurrently per request when Options.PlanWorkers allows);
+// a stream only adds observers, and one post-solve tail (verify, count,
+// cache) finishes every response, with its plan attached. The HTTP
+// handlers in this package expose the same Engine over JSON endpoints
+// (POST /v1/solve, POST /v1/solve/batch, POST /v1/plan for analysis
+// without solving, GET /v1/stats, GET /healthz); cmd/energyserver wraps
+// them in a binary.
 //
 // Beneath the instance cache sits a structure-keyed one: an LRU of
 // per-shape artifacts (component classification, SP decompositions,
@@ -20,10 +21,12 @@
 // known shape with new weights or a new deadline misses the instance
 // cache but skips the ordering, symbolic analysis, and classification
 // work entirely — only the numeric solve runs. The layer is shared by
-// one-shot solves, the streaming pipeline, and reclaim sessions (which
-// pin their entries against eviction for their lifetime), sized by
+// one-shot solves, streams, and reclaim sessions (which pin their
+// classification entries against eviction for their lifetime), sized by
 // Options.StructureCacheSize, and reported in /v1/stats as
-// structure_hits, structure_misses, and structure_len.
+// structure_hits, structure_misses, and structure_len. Both layers, and
+// the compiled-kernel cache beneath the structure one, are the same
+// generic LRU (internal/lru).
 package service
 
 import (
@@ -35,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/plan"
 	"repro/internal/resilience"
 )
@@ -55,11 +59,13 @@ type Options struct {
 	// shed with ErrOverloaded instead of growing the queue without bound
 	// (default 256, negative disables shedding).
 	MaxBacklog int
-	// PlanWorkers bounds concurrent component solves *within* one request
-	// (the planner's per-plan worker pool). The default of 1 keeps Workers
-	// the engine's total concurrency bound; raise it only when request
-	// concurrency is low and single-request latency on disconnected
-	// execution graphs matters more than aggregate throughput.
+	// PlanWorkers bounds concurrent component solves *within* one solve or
+	// stream request (the planner's per-plan worker pool). The default of 1
+	// keeps Workers the total concurrency bound for those requests; raise
+	// it only when request concurrency is low and single-request latency on
+	// disconnected execution graphs matters more than aggregate throughput.
+	// Session replans do not use it: each holds one pool slot but re-solves
+	// its dirty components on up to GOMAXPROCS goroutines.
 	PlanWorkers int
 	// StructureCacheSize bounds the structure-keyed amortization cache: an
 	// LRU of per-component classification artifacts and compiled continuous
@@ -91,13 +97,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) planWorkers() int {
-	if o.PlanWorkers > 0 {
-		return o.PlanWorkers
-	}
-	return 1
-}
-
 func (o Options) maxBacklog() int64 {
 	switch {
 	case o.MaxBacklog > 0:
@@ -106,17 +105,6 @@ func (o Options) maxBacklog() int64 {
 		return 1 << 62 // effectively unbounded
 	default:
 		return 256
-	}
-}
-
-func (o Options) cacheSize() int {
-	switch {
-	case o.CacheSize > 0:
-		return o.CacheSize
-	case o.CacheSize < 0:
-		return 0
-	default:
-		return 1024
 	}
 }
 
@@ -139,15 +127,13 @@ func (o Options) degradeAt() int64 {
 	return at
 }
 
-func (o Options) structureCacheSize() int {
-	switch {
-	case o.StructureCacheSize > 0:
-		return o.StructureCacheSize
-	case o.StructureCacheSize < 0:
-		return 0
-	default:
-		return 256
+// capacity resolves a cache-size option: zero picks def, a negative size
+// disables the cache (0).
+func capacity(size, def int) int {
+	if size == 0 {
+		return def
 	}
+	return max(size, 0)
 }
 
 // Engine is a concurrent, cached MinEnergy solve service. It is safe for
@@ -155,7 +141,7 @@ func (o Options) structureCacheSize() int {
 // with NewEngine.
 type Engine struct {
 	sem         chan struct{}
-	cache       *lruCache
+	cache       *lru.Cache[string, *SolveResponse]
 	structs     *plan.StructureCache // nil when disabled
 	verifyTol   float64
 	planWorkers int
@@ -191,14 +177,14 @@ type call struct {
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		sem:         make(chan struct{}, opts.workers()),
-		cache:       newLRUCache(opts.cacheSize()),
+		cache:       lru.New[string, *SolveResponse](capacity(opts.CacheSize, 1024)),
 		verifyTol:   opts.VerifyTol,
-		planWorkers: opts.planWorkers(),
+		planWorkers: max(opts.PlanWorkers, 1),
 		adm:         resilience.NewAdmission(opts.maxBacklog(), opts.TenantWeights),
 		degradeAt:   opts.degradeAt(),
 		flight:      make(map[string]*call),
 	}
-	if size := opts.structureCacheSize(); size > 0 {
+	if size := capacity(opts.StructureCacheSize, 256); size > 0 {
 		e.structs = plan.NewStructureCache(size)
 	}
 	return e
@@ -315,11 +301,7 @@ func (e *Engine) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	if !req.NoCache {
 		if cached, ok := e.cache.Get(key); ok {
 			e.hits.Add(1)
-			resp := cached.Clone() // callers may mutate; never hand out cached slices
-			resp.ID = req.ID
-			resp.CacheHit = true
-			resp.ElapsedMS = msSince(start)
-			return resp, nil
+			return reply(cached, req, true, start), nil
 		}
 	}
 
@@ -392,11 +374,7 @@ func (e *Engine) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		if c.err != nil {
 			return nil, c.err
 		}
-		resp := c.resp.Clone()
-		resp.ID = req.ID
-		resp.CacheHit = c.hit
-		resp.ElapsedMS = msSince(start)
-		return resp, nil
+		return reply(c.resp, req, c.hit, start), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -506,13 +484,14 @@ func (e *Engine) degradedNow() bool {
 // deregistration) runs after the cache is populated and before the close,
 // so no request can observe "not in flight, not in cache" for a solved key.
 // The caller must have admitted the work; spawn runs release (the
-// admission slot) when the solve leaves the system.
+// admission slot) before the close, so a caller resubmitting on its answer
+// finds the slot free.
 func (e *Engine) spawn(inst *instance, key string, degraded bool, c *call, release, cleanup func()) {
 	go func() {
-		defer release()
 		e.sem <- struct{}{}
 		c.resp, c.err = e.runSolver(inst, key, degraded)
 		<-e.sem
+		release()
 		if cleanup != nil {
 			cleanup()
 		}
@@ -520,11 +499,10 @@ func (e *Engine) spawn(inst *instance, key string, degraded bool, c *call, relea
 	}()
 }
 
-// runSolver executes the planner dispatch behind a recover barrier,
-// optionally verifies, and caches. The barrier matters: this runs on a
-// detached goroutine no HTTP-layer recovery can reach, so a solver panic
-// here used to kill the whole process — now it fails this call with an
-// internal error and bumps panics_recovered.
+// runSolver runs the planner's component executor and finishes the
+// response. The executor's stage runner contains solver panics; this
+// barrier covers the rest (split, verify, encode) on a detached goroutine
+// no HTTP-layer recovery can reach, failing the call instead of the process.
 func (e *Engine) runSolver(inst *instance, key string, degraded bool) (resp *SolveResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -532,10 +510,26 @@ func (e *Engine) runSolver(inst *instance, key string, degraded bool) (resp *Sol
 			e.failures.Add(1)
 		}
 	}()
-	sol, pl, err := dispatch(inst, e.planWorkers, degraded, e.structs)
+	pl, sol, err := plan.Solve(context.Background(), inst.prob, inst.mdl, e.planOptions(inst, degraded), plan.Observer{})
+	return e.finish(inst, key, pl, sol, err)
+}
+
+// planOptions routes inst as the request asked, on PlanWorkers solver
+// goroutines and the shared structure cache.
+func (e *Engine) planOptions(inst *instance, degraded bool) plan.Options {
+	return plan.Options{Algorithm: inst.algo, K: inst.k, Workers: e.planWorkers, Structures: e.structs, Degraded: degraded}
+}
+
+// finish is the post-solve tail Solve and SolveStream share: count, verify,
+// build the response, and cache it unless degraded. Callers reply a copy.
+func (e *Engine) finish(inst *instance, key string, pl *plan.Plan, sol *core.Solution, err error) (*SolveResponse, error) {
 	if err != nil {
-		e.failures.Add(1)
-		return nil, err
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			e.canceled.Add(1)
+		} else {
+			e.failures.Add(1)
+		}
+		return nil, planError(err)
 	}
 	if e.verifyTol > 0 && !pl.Degraded() {
 		// Degraded schedules are deliberately suboptimal but still feasible;
@@ -547,7 +541,7 @@ func (e *Engine) runSolver(inst *instance, key string, degraded bool) (resp *Sol
 		}
 	}
 	e.solved.Add(1)
-	resp = responseFromSolution(sol, pl)
+	resp := responseFromSolution(sol, pl)
 	if resp.Degraded {
 		// Overload answers must not poison the cache: the same instance
 		// asked for again under normal load deserves the real optimum.
@@ -556,6 +550,37 @@ func (e *Engine) runSolver(inst *instance, key string, degraded bool) (resp *Sol
 	}
 	e.cache.Add(key, resp)
 	return resp, nil
+}
+
+// reply is one caller's copy of a shared (cached or just-solved) response:
+// callers may mutate it, so cached slices are never handed out.
+func reply(resp *SolveResponse, req *SolveRequest, hit bool, start time.Time) *SolveResponse {
+	out := resp.Clone()
+	out.ID = req.ID
+	out.CacheHit = hit
+	out.ElapsedMS = msSince(start)
+	return out
+}
+
+// acquire sheds work whose budget is spent, admits it for tenant, and waits
+// for a pool slot: the entry of work that runs on the caller's goroutine
+// (explains, session replans). On success the caller runs release once,
+// when the work leaves the pool.
+func (e *Engine) acquire(ctx context.Context, tenant string) (release func(), err error) {
+	if err := e.checkBudget(ctx); err != nil {
+		return nil, err
+	}
+	unadmit, err := e.admitFor(tenant)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case e.sem <- struct{}{}:
+		return func() { <-e.sem; unadmit() }, nil
+	case <-ctx.Done():
+		unadmit()
+		return nil, ctx.Err()
+	}
 }
 
 // BatchResult pairs one batch entry's response with its error; exactly one
@@ -593,6 +618,39 @@ func (e *Engine) solveBatch(reqs []*SolveRequest, ctxFor func(*SolveRequest) (co
 	}
 	wg.Wait()
 	return results
+}
+
+// Explain compiles a request and runs the planner's analysis without
+// solving: the explain-only path behind POST /v1/plan. Analysis does no
+// numeric work, but its series-parallel recognition is superlinear
+// (O(n²·m)), so it is admitted and scheduled like a solve — backlog
+// shedding plus a worker-pool slot bound the CPU an explain-only client can
+// claim, instead of handing every request its own unbounded goroutine. The
+// context bounds the wait for a pool slot (and honors the caller's
+// timeout); once the slot is held, analysis runs to completion — it is
+// short, unlike a solve.
+func (e *Engine) Explain(ctx context.Context, req *SolveRequest) (*PlanResponse, error) {
+	inst, err := req.compile()
+	if err != nil {
+		return nil, err
+	}
+	release, err := e.acquire(ctx, e.tenant(ctx, req.Tenant))
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+
+	pl, err := plan.Analyze(inst.prob, inst.mdl, e.planOptions(inst, false))
+	if err != nil {
+		return nil, planError(err)
+	}
+	return &PlanResponse{
+		Tasks:    inst.prob.G.N(),
+		Edges:    inst.prob.G.M(),
+		Deadline: inst.prob.Deadline,
+		Model:    inst.mdl.Kind.String(),
+		Plan:     planJSON(pl),
+	}, nil
 }
 
 // CachePurge empties the instance cache (administrative; tests).

@@ -314,9 +314,6 @@ type PlanJSON struct {
 
 // planJSON flattens a plan into wire form.
 func planJSON(pl *plan.Plan) *PlanJSON {
-	if pl == nil {
-		return nil
-	}
 	out := &PlanJSON{
 		Algorithm:  pl.Algorithm,
 		Exact:      pl.Exact(),
@@ -339,27 +336,26 @@ func responseFromSolution(sol *core.Solution, pl *plan.Plan) *SolveResponse {
 		Algorithm:   sol.Stats.Algorithm,
 		Exact:       sol.Stats.Exact,
 		BoundFactor: sol.Stats.BoundFactor,
+		Degraded:    pl.Degraded(),
 		Plan:        planJSON(pl),
 	}
-	if pl != nil {
-		resp.Degraded = pl.Degraded()
-	}
-	if speeds, err := sol.Speeds(); err == nil {
-		resp.Speeds = speeds
-	} else {
-		resp.Profiles = profilesJSON(sol.Schedule.Profiles)
-	}
+	resp.Speeds, resp.Profiles = speedsJSON(sol)
 	return resp
+}
+
+// speedsJSON flattens a solution's schedule for the wire: per-task constant
+// speeds when every profile is constant, full profiles otherwise.
+func speedsJSON(sol *core.Solution) ([]float64, [][]SegmentJSON) {
+	if speeds, err := sol.Speeds(); err == nil {
+		return speeds, nil
+	}
+	return nil, profilesJSON(sol.Schedule.Profiles)
 }
 
 func profilesJSON(profiles []sched.Profile) [][]SegmentJSON {
 	out := make([][]SegmentJSON, len(profiles))
 	for i, p := range profiles {
-		segs := make([]SegmentJSON, len(p))
-		for j, s := range p {
-			segs[j] = SegmentJSON{Speed: s.Speed, Duration: s.Duration}
-		}
-		out[i] = segs
+		out[i] = segmentsJSON(p)
 	}
 	return out
 }

@@ -120,6 +120,49 @@ func TestSolverPanicYields500(t *testing.T) {
 	waitFor(t, "admission drain", func() bool { return e.adm.Depth() == 0 })
 }
 
+// TestSessionReplanSolverPanic pins the solver fault site on session
+// replans: a panic there fails the deviating event with a classified
+// internal error while the completion stays recorded, the next deviating
+// event replans normally, and closing the session releases every
+// structure pin.
+func TestSessionReplanSolverPanic(t *testing.T) {
+	e := NewEngine(Options{Workers: 2})
+	st := NewSessionStore(e, SessionConfig{})
+	sess := mkSession(t, st, fiveChainBody)
+
+	resilience.Arm(resilience.NewFaults(3, map[resilience.Site]resilience.SiteFaults{
+		resilience.SiteSolver: {PanicRate: 1, Times: 1},
+	}))
+	defer resilience.Disarm()
+	// The optimum runs every task for 2.5; both events finish early.
+	out, err := st.Events(context.Background(), sess.SessionID, []reclaim.CompletionEvent{
+		{Task: 0, ActualDuration: 2.0},
+		{Task: 1, ActualDuration: 2.0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, replanned := out.Results[0], out.Results[1]
+	if failed.Error == nil || failed.Error.Code != string(CodeInternal) {
+		t.Fatalf("panicking replan: error %+v, want code %q", failed.Error, CodeInternal)
+	}
+	if failed.Result == nil || failed.Result.Remaining != 4 {
+		t.Fatalf("panicking replan lost its completion: %+v", failed.Result)
+	}
+	if replanned.Error != nil || replanned.Result == nil || replanned.Result.Resolved == 0 {
+		t.Fatalf("next deviating event did not replan: %+v / %+v", replanned.Result, replanned.Error)
+	}
+	if out.Remaining != 3 {
+		t.Fatalf("remaining %d, want 3", out.Remaining)
+	}
+	if err := st.Delete(sess.SessionID); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Structures().Pinned(); n != 0 {
+		t.Fatalf("%d structure pins leaked", n)
+	}
+}
+
 // degradedNRequest is the classic non-series-parallel witness (a→c, a→d,
 // b→d), unit weights, D=2: W=4, CPW=2, so degraded mode runs everything
 // at speed CPW/D = 1 for energy 4 with an a-priori bound of W/CPW = 2.

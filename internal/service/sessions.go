@@ -266,7 +266,7 @@ func (st *SessionStore) Create(ctx context.Context, req *SessionRequest) (*Sessi
 	entry := &sessionEntry{id: id, created: now, sess: sess}
 	entry.hub = newWatchHub(&st.watchersDropped)
 	// Push each dirtied component to watchers the moment its residual
-	// re-solve finishes. The callback runs on a solver goroutine with the
+	// re-solve finishes. The callback runs on the event's goroutine with the
 	// session's event lock held; broadcast never blocks (slow subscribers
 	// are dropped), so replan latency is untouched by watchers.
 	hub := entry.hub
@@ -278,10 +278,7 @@ func (st *SessionStore) Create(ctx context.Context, req *SessionRequest) (*Sessi
 		}
 		if len(cu.Tasks) <= 64 {
 			data.TaskIDs = cu.Tasks
-			data.Profiles = make([][]SegmentJSON, len(cu.Profiles))
-			for k, p := range cu.Profiles {
-				data.Profiles[k] = segmentsJSON(p)
-			}
+			data.Profiles = profilesJSON(cu.Profiles)
 		}
 		hub.broadcast(EventComponent, data)
 	})
@@ -386,25 +383,7 @@ func (st *SessionStore) Events(ctx context.Context, id string, events []reclaim.
 	// fair-share included — the X-Tenant header rides in on ctx) plus a
 	// pool slot, exactly like a solve request, held only for the solve
 	// itself.
-	gate := func() (func(), error) {
-		if err := st.engine.checkBudget(ctx); err != nil {
-			return nil, err
-		}
-		release, err := st.engine.admitFor(st.engine.tenant(ctx, ""))
-		if err != nil {
-			return nil, err
-		}
-		select {
-		case st.engine.sem <- struct{}{}:
-		case <-ctx.Done():
-			release()
-			return nil, ctx.Err()
-		}
-		return func() {
-			<-st.engine.sem
-			release()
-		}, nil
-	}
+	gate := func() (func(), error) { return st.engine.acquire(ctx, st.engine.tenant(ctx, "")) }
 
 	out := &SessionEventsResponse{SessionID: id, Results: make([]SessionEventJSON, 0, len(events))}
 	for _, ev := range events {
@@ -511,10 +490,9 @@ func (st *SessionStore) Delete(id string) error {
 	}
 	entry.closed.Store(true)
 	delete(st.sessions, id)
-	// Close takes the session lock (which a long replan may hold); release
-	// the structure pins off the store lock so Delete never stalls behind a
-	// solver run.
-	go entry.sess.Close()
+	// Close never waits for the session lock a long replan may hold, so the
+	// structure pins are released before Delete returns.
+	entry.sess.Close()
 	entry.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "deleted"})
 	return nil
 }
@@ -605,13 +583,13 @@ func (st *SessionStore) sweepLocked(now time.Time, pressure bool) {
 			e.closed.Store(true)
 			delete(st.sessions, id)
 			st.evictedFinished++
-			go e.sess.Close() // session lock; must not block the sweep
+			e.sess.Close()
 			e.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "evicted"})
 		case idle >= st.cfg.IdleTTL:
 			e.closed.Store(true)
 			delete(st.sessions, id)
 			st.evictedIdle++
-			go e.sess.Close() // session lock; must not block the sweep
+			e.sess.Close()
 			e.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "evicted"})
 		}
 	}

@@ -11,20 +11,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
-	"repro/internal/resilience"
 )
 
-// The streaming solve path. A monolithic solve is a barrier: nothing leaves
-// the server until every weakly-connected component has been classified,
-// routed, solved, and merged. The stream path rebuilds dispatch as a
-// chunked pipeline — split → classify/route → solve → merge — so the first
-// `plan` event leaves as soon as the first component is classified and each
-// `component` event leaves the moment that component's solver finishes,
-// while later components are still solving. POST /v1/solve/stream exposes
-// it as SSE; GET /v1/sessions/{id}/watch pushes the same envelope over
-// WebSocket for executing reclaim sessions.
+// The streaming solve path. A monolithic solve answers once: nothing leaves
+// the server until every weakly-connected component has been routed,
+// solved, and merged. A stream runs the same component executor
+// (plan.Solve: split → route → solve → merge) with observers attached, so
+// the first `plan` event leaves as soon as the route stage has routed the
+// first component and each `component` event leaves the moment that
+// component's solver finishes, while later components are still solving.
+// POST /v1/solve/stream exposes it as SSE; GET /v1/sessions/{id}/watch
+// pushes the same envelope over WebSocket for executing reclaim sessions.
 
 // StreamEvent is the shared event envelope of both streaming surfaces
 // (SSE solve streams and WebSocket session watches): a per-stream sequence
@@ -144,7 +142,7 @@ func (em *StreamEmitter) Events() uint64 {
 }
 
 // SolveStream answers one request as an event stream: `plan` per component
-// as classification finds it, `component` per solved component with the
+// as the route stage routes it, `component` per solved component with the
 // running energy total, and the final merged SolveResponse as the return
 // value (the transport emits the terminal result/error event so the
 // sequence numbers stay continuous). Unlike Solve, the work is attached to
@@ -177,19 +175,13 @@ func (e *Engine) SolveStream(ctx context.Context, req *SolveRequest, em *StreamE
 	if !req.NoCache {
 		if cached, ok := e.cache.Get(key); ok {
 			e.hits.Add(1)
-			if cached.Plan != nil {
-				total := len(cached.Plan.Components)
-				for i, cj := range cached.Plan.Components {
-					if err := em.Emit(EventPlan, StreamPlanData{Component: i, Total: total, Plan: cj}); err != nil {
-						return nil, err
-					}
+			total := len(cached.Plan.Components)
+			for i, cj := range cached.Plan.Components {
+				if err := em.Emit(EventPlan, StreamPlanData{Component: i, Total: total, Plan: cj}); err != nil {
+					return nil, err
 				}
 			}
-			resp := cached.Clone()
-			resp.ID = req.ID
-			resp.CacheHit = true
-			resp.ElapsedMS = msSince(start)
-			return resp, nil
+			return reply(cached, req, true, start), nil
 		}
 	}
 	if err := e.checkBudget(ctx); err != nil {
@@ -212,166 +204,42 @@ func (e *Engine) SolveStream(ctx context.Context, req *SolveRequest, em *StreamE
 	}
 	defer func() { <-e.sem }()
 
-	sol, pl, err := streamDispatch(ctx, inst, e.planWorkers, degraded, em, e.structs)
+	running, solved := 0.0, 0
+	pl, sol, err := plan.Solve(ctx, inst.prob, inst.mdl, e.planOptions(inst, degraded), plan.Observer{
+		Plan: func(pl *plan.Plan, i int) error {
+			return em.Emit(EventPlan, StreamPlanData{Component: i, Total: len(pl.Components), Plan: componentPlanJSON(pl.Components[i])})
+		},
+		Component: func(pl *plan.Plan, i int, sol *core.Solution) error {
+			running += sol.Energy
+			solved++
+			tasks := pl.Components[i].Tasks
+			data := StreamComponentData{
+				Component:     i,
+				FirstTask:     tasks[0],
+				LastTask:      tasks[len(tasks)-1],
+				Energy:        sol.Energy,
+				RunningEnergy: running,
+				Solved:        solved,
+				Total:         len(pl.Components),
+				Algorithm:     sol.Stats.Algorithm,
+			}
+			if len(tasks) <= 64 {
+				data.TaskIDs = tasks
+			}
+			data.Speeds, data.Profiles = speedsJSON(sol)
+			return em.Emit(EventComponent, data)
+		},
+	})
+	resp, err := e.finish(inst, key, pl, sol, err)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			e.canceled.Add(1)
-		} else {
-			e.failures.Add(1)
-		}
 		return nil, err
 	}
-	if e.verifyTol > 0 && !pl.Degraded() {
-		if err := inst.prob.Verify(sol, e.verifyTol); err != nil {
-			e.failures.Add(1)
-			return nil, err
-		}
-	}
-	e.solved.Add(1)
-	resp := responseFromSolution(sol, pl)
-	if resp.Degraded {
-		e.degraded.Add(1) // never cached: calm-load repeats deserve the optimum
-	} else {
-		e.cache.Add(key, resp)
-	}
-	out := resp.Clone()
-	out.ID = req.ID
-	out.ElapsedMS = msSince(start)
-	return out, nil
+	return reply(resp, req, false, start), nil
 }
 
-// streamDispatch is the chunked classify→route→solve→merge pipeline behind
-// both dispatch (em == nil: the monolithic path, now sharing one
-// implementation) and SolveStream. Components stream out of classification
-// into the solver workers as they are found; each solved component is
-// emitted the moment its solver returns, while later components are still
-// solving. ctx cancellation (client disconnect, deadline) stops unstarted
-// work; in-flight solver kernels run to completion (they are not
-// interruptible) before Wait returns.
-func streamDispatch(ctx context.Context, inst *instance, workers int, degraded bool, em *StreamEmitter, structs *plan.StructureCache) (*core.Solution, *plan.Plan, error) {
-	rt, err := plan.NewRouter(inst.mdl, plan.Options{Algorithm: inst.algo, K: inst.k, Structures: structs, Degraded: degraded})
-	if err != nil {
-		return nil, nil, planError(err)
-	}
-	comps, err := inst.prob.SplitComponents()
-	if err != nil {
-		return nil, nil, err
-	}
-	total := len(comps)
-	cps := make([]plan.ComponentPlan, total)
-	if workers < 1 {
-		workers = 1
-	}
-
-	pp := pipeline.New(ctx)
-	indices := pipeline.Source(pp, "split", total, func(ctx context.Context, emit func(int) error) error {
-		for i := 0; i < total; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	// One classify worker: routing is cheap relative to solving and the
-	// ordered plan events make progress legible. The buffer lets routing
-	// run ahead of the solver pool.
-	routed := pipeline.Attach(pp, pipeline.Stage[int, int]{
-		Name:    "classify",
-		Workers: 1,
-		Buffer:  total,
-		Do: func(ctx context.Context, i int, emit func(int) error) error {
-			cp, err := rt.Route(comps[i], nil)
-			if err != nil {
-				return err
-			}
-			cps[i] = cp
-			if em != nil {
-				if err := em.Emit(EventPlan, StreamPlanData{
-					Component: i,
-					Total:     total,
-					Plan:      componentPlanJSON(cp),
-				}); err != nil {
-					return err
-				}
-			}
-			return emit(i)
-		},
-	}, indices)
-	type solvedComp struct {
-		i   int
-		sol *core.Solution
-	}
-	solved := pipeline.Attach(pp, pipeline.Stage[int, solvedComp]{
-		Name:    "solve",
-		Workers: workers,
-		Do: func(ctx context.Context, i int, emit func(solvedComp) error) error {
-			// The solver fault site: every component solve — monolithic,
-			// streamed, or batched — passes through this stage.
-			if err := resilience.Fire(resilience.SiteSolver); err != nil {
-				return err
-			}
-			sol, err := rt.Solve(comps[i].Prob, cps[i])
-			if err != nil {
-				return err
-			}
-			return emit(solvedComp{i: i, sol: sol})
-		},
-	}, routed)
-
-	sols := make([]*core.Solution, total)
-	running := 0.0
-	done := 0
-	for sc := range solved {
-		sols[sc.i] = sc.sol
-		running += sc.sol.Energy
-		done++
-		if em != nil {
-			data := StreamComponentData{
-				Component:     sc.i,
-				FirstTask:     cps[sc.i].Tasks[0],
-				LastTask:      cps[sc.i].Tasks[len(cps[sc.i].Tasks)-1],
-				Energy:        sc.sol.Energy,
-				RunningEnergy: running,
-				Solved:        done,
-				Total:         total,
-				Algorithm:     sc.sol.Stats.Algorithm,
-			}
-			if len(cps[sc.i].Tasks) <= 64 {
-				data.TaskIDs = cps[sc.i].Tasks
-			}
-			if speeds, err := sc.sol.Speeds(); err == nil {
-				data.Speeds = speeds
-			} else {
-				data.Profiles = profilesJSON(sc.sol.Schedule.Profiles)
-			}
-			if err := em.Emit(EventComponent, data); err != nil {
-				// The consumer contract: fail the pipeline before abandoning
-				// the channel, so blocked solver emitters unwind instead of
-				// leaking.
-				pp.Fail(err)
-				break
-			}
-		}
-	}
-	if err := pp.Wait(); err != nil {
-		return nil, nil, planError(err)
-	}
-	pl := plan.Assemble(inst.prob, rt, comps, cps, workers)
-	merged, err := inst.prob.MergeSolutions(comps, sols)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, pl, nil
-}
-
-// planError converts routing rejections into caller errors (HTTP 400),
-// unwrapping the pipeline's stage tag so messages match the monolithic
-// path's.
+// planError converts the planner's routing rejections into caller errors
+// (HTTP 400).
 func planError(err error) error {
-	var pe *pipeline.Error
-	if errors.As(err, &pe) {
-		err = pe.Err
-	}
 	if errors.Is(err, plan.ErrBadPlan) {
 		return badRequest("%v", err)
 	}

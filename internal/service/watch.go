@@ -32,9 +32,9 @@ type watchSub struct {
 }
 
 // watchHub fans a session's events out to its watchers. Broadcasts happen
-// on solver goroutines (SetOnComponent) and request goroutines (Events,
-// Delete, sweep) — possibly while the session's own lock is held — so the
-// hub never blocks: sends are non-blocking, slow subscribers are dropped.
+// on request goroutines (Events and its replans' callbacks, Delete, sweep)
+// — possibly while the session's own lock is held — so the hub never
+// blocks: sends are non-blocking, slow subscribers are dropped.
 // The hub's lock is leaf-level: nothing is called while holding it.
 type watchHub struct {
 	mu     sync.Mutex

@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Wall-clock slowdown tolerated by bench-compare before a scenario fails.
 TOLERANCE ?= 2
 
-.PHONY: all build test race vet bench verify bench-all bench-compare bench-baseline bench-large bench-huge loadtest chaos perfbench-test fuzz clean
+.PHONY: all build test race vet bench verify bench-all bench-compare bench-baseline bench-large bench-huge loadtest chaos perfbench-test fuzz loc clean
 
 all: verify
 
@@ -113,6 +113,11 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzPlanRequest -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzSessionEvents -fuzztime=$(FUZZTIME) ./internal/service/
+
+# loc prints the non-test Go line count outside perfbench/ (tracked and
+# untracked-but-not-ignored files) — the figure ROADMAP's LoC targets use.
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

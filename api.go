@@ -299,8 +299,8 @@ type SolveModelSpec = service.ModelSpec
 // BatchResult pairs one batch entry's response with its error.
 type BatchResult = service.BatchResult
 
-// StreamEvent is the shared event envelope of both streaming surfaces —
-// the SSE solve stream and the WebSocket session watch: a per-stream
+// StreamEvent is the shared event envelope of both SSE streaming
+// surfaces — the solve stream and the session watch: a per-stream
 // sequence number, an event type, and the type-specific payload.
 type StreamEvent = service.StreamEvent
 
@@ -346,7 +346,7 @@ func NewEngine(opts EngineOptions) *Engine { return service.NewEngine(opts) }
 // NewSolveHandler mounts an Engine behind the JSON HTTP surface:
 // POST /v1/solve, POST /v1/solve/stream (SSE), POST /v1/solve/batch,
 // POST /v1/plan, the /v1/sessions subsystem (including the
-// GET /v1/sessions/{id}/watch WebSocket), GET /v1/stats, GET /healthz.
+// GET /v1/sessions/{id}/watch SSE stream), GET /v1/stats, GET /healthz.
 func NewSolveHandler(e *Engine, opts SolveHTTPOptions) http.Handler {
 	return service.NewHandler(e, opts)
 }

@@ -14,7 +14,7 @@
 // Traffic mixes plain solves, streamed solves (POST /v1/solve/stream
 // consumed to the terminal event, with the time to the first event
 // gated separately via -slo-first-plan-p99), full reclaiming-session
-// lifecycles (create → /watch WebSocket watcher + jittered completion
+// lifecycles (create → /watch SSE watcher + jittered completion
 // events → schedule poll → delete, with a fraction abandoned), and
 // batch floods, over a zipf-popular instance pool (see
 // internal/loadgen). The arrival schedule is open-loop and

@@ -10,7 +10,7 @@
 //	POST   /v1/plan                  explain-only: the planner's routing, no solve
 //	POST   /v1/sessions              solve + open an online reclaiming session
 //	POST   /v1/sessions/{id}/events  apply completion events; per-event outcomes
-//	GET    /v1/sessions/{id}/watch   WebSocket: re-solved residuals pushed as replans finish
+//	GET    /v1/sessions/{id}/watch   SSE: re-solved residuals pushed as replans finish
 //	GET    /v1/sessions/{id}/schedule  merged execution state (one-shot; /watch replaces polling)
 //	GET    /v1/sessions              list sessions (+count) · DELETE /v1/sessions/{id} closes one
 //	GET    /v1/stats                 engine + session counters (hits, misses, coalesced, solves…)
@@ -91,7 +91,9 @@ func run(args []string) error {
 		ReadHeaderTimeout: 10 * time.Second,
 		// ReadTimeout bounds the whole request read so a dripped body can't
 		// hold a connection open forever; WriteTimeout must outlast the
-		// largest solve budget (max-timeout) plus response writing.
+		// largest solve budget (max-timeout) plus response writing. A
+		// session watch lives as long as its session: it sets its own
+		// per-frame write deadline, and Shutdown ends it.
 		ReadTimeout:  time.Minute,
 		WriteTimeout: httpOpts.MaxTimeout + time.Minute,
 		IdleTimeout:  2 * time.Minute,

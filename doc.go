@@ -194,7 +194,7 @@
 // Over HTTP the same runtime is the session subsystem: POST /v1/sessions
 // (solve + open), POST /v1/sessions/{id}/events (stream completions),
 // GET /v1/sessions/{id}/schedule (merged execution state), and
-// GET /v1/sessions/{id}/watch (a WebSocket pushing each re-solved
+// GET /v1/sessions/{id}/watch (an SSE stream pushing each re-solved
 // residual component as replans finish — the push alternative to
 // polling the schedule), sharing the
 // engine's worker pool and instance cache. The energysim -replay flag and

@@ -21,8 +21,8 @@
 //   - stream: one POST /v1/solve/stream consumed to its terminal event;
 //     the time to the stream's first event gets its own result row
 //     ("load/stream-first-plan") and SLO gate
-//   - session: a full reclaiming-session lifecycle — create, attach a
-//     /watch WebSocket watcher, stream jittered completion events
+//   - session: a full reclaiming-session lifecycle — create, open a
+//     /watch SSE watcher, stream jittered completion events
 //     (durations from the initial solve's speeds, perturbed by
 //     workload.Jitter), poll the schedule, then delete; a configurable
 //     fraction abandons the session instead (half mid-execution, half
@@ -53,7 +53,6 @@ import (
 	"repro/internal/reclaim"
 	"repro/internal/service"
 	"repro/internal/workload"
-	"repro/internal/ws"
 )
 
 // Op classes of the traffic mix.
@@ -621,23 +620,8 @@ func (w *worker) runSession(ctx context.Context, jb job, spec *instanceSpec, int
 	}
 	sessURL := w.cfg.BaseURL + "/v1/sessions/" + create.SessionID
 	// A watcher rides along for the session's life, draining the pushed
-	// schedule/component/event stream like a real monitoring client. It
-	// measures nothing — it exists to keep the watch path under load.
-	if wconn, werr := ws.Dial(strings.Replace(sessURL, "http://", "ws://", 1) + "/watch"); werr == nil {
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			for {
-				if _, rerr := wconn.ReadMessage(); rerr != nil {
-					return
-				}
-			}
-		}()
-		defer func() {
-			wconn.Close()
-			<-watchDone
-		}()
-	}
+	// schedule/component/event stream like a real monitoring client.
+	defer w.watch(ctx, sessURL+"/watch")()
 	for sent := 0; sent < limit; {
 		if ctx.Err() != nil {
 			return
@@ -664,6 +648,41 @@ func (w *worker) runSession(ctx context.Context, jb job, spec *instanceSpec, int
 	w.do(ctx, http.MethodGet, sessURL+"/schedule", nil, time.Now(), OpSession, nil)
 	if deleteAfter {
 		w.do(ctx, http.MethodDelete, sessURL, nil, time.Now(), OpSession, nil)
+	}
+}
+
+// watch opens a session's SSE watch, records the open as one OpSession
+// sample — an error unless it answers 200 text/event-stream — and drains
+// the stream on a goroutine. The returned stop ends the watch and waits
+// for the drain. A watch lives as long as its session, so it shares the
+// client's Transport but not its Timeout.
+func (w *worker) watch(ctx context.Context, url string) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	sent := time.Now()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		w.record(OpSession, sent, 0, true)
+		return cancel
+	}
+	if w.tenant != "" {
+		req.Header.Set("X-Tenant", w.tenant)
+	}
+	resp, err := (&http.Client{Transport: w.cfg.Client.Transport}).Do(req)
+	if err != nil {
+		w.record(OpSession, sent, 0, true)
+		return cancel
+	}
+	ok := resp.StatusCode == http.StatusOK && resp.Header.Get("Content-Type") == "text/event-stream"
+	w.record(OpSession, sent, resp.StatusCode, !ok)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	return func() {
+		cancel()
+		<-drained
 	}
 }
 

@@ -47,8 +47,6 @@ const (
 	CodeCanceled Code = "canceled"
 	// CodePayloadTooLarge: the request body exceeds MaxBodyBytes.
 	CodePayloadTooLarge Code = "payload_too_large"
-	// CodeUpgradeRequired: the endpoint requires a WebSocket upgrade.
-	CodeUpgradeRequired Code = "upgrade_required"
 	// CodeInternal: an unclassified server-side failure.
 	CodeInternal Code = "internal"
 )
@@ -59,7 +57,7 @@ func Codes() []Code {
 		CodeBadRequest, CodeBadEvent, CodeSessionNotFound, CodeSessionClosed,
 		CodeCapacity, CodeInfeasible, CodeSearchLimit, CodeOverloaded,
 		CodeTenantQuota, CodeTimeout, CodeCanceled, CodePayloadTooLarge,
-		CodeUpgradeRequired, CodeInternal,
+		CodeInternal,
 	}
 }
 
@@ -77,8 +75,6 @@ func (c Code) Status() int {
 		return http.StatusRequestEntityTooLarge
 	case CodeInfeasible, CodeSearchLimit:
 		return http.StatusUnprocessableEntity
-	case CodeUpgradeRequired:
-		return http.StatusUpgradeRequired
 	case CodeCapacity:
 		return http.StatusServiceUnavailable
 	case CodeOverloaded, CodeTenantQuota:
@@ -94,15 +90,10 @@ func (c Code) Status() int {
 	}
 }
 
-// Transport-layer sentinels (the engine and session sentinels live next to
+// ErrPayloadTooLarge tags a request body that exceeds MaxBodyBytes: the
+// transport-layer sentinel (the engine and session sentinels live next to
 // their subsystems: ErrBadRequest, ErrOverloaded, ErrSessionNotFound, …).
-var (
-	// ErrPayloadTooLarge tags a request body that exceeds MaxBodyBytes.
-	ErrPayloadTooLarge = errors.New("service: request body too large")
-	// ErrUpgradeRequired tags a watch request that is not a WebSocket
-	// upgrade.
-	ErrUpgradeRequired = errors.New("service: this endpoint requires a WebSocket upgrade (Connection: Upgrade, Upgrade: websocket)")
-)
+var ErrPayloadTooLarge = errors.New("service: request body too large")
 
 // codeFor maps an error to its API code via the sentinel chain. Unknown
 // errors are CodeInternal.
@@ -120,8 +111,6 @@ func codeFor(err error) Code {
 		return CodeCapacity
 	case errors.Is(err, ErrPayloadTooLarge):
 		return CodePayloadTooLarge
-	case errors.Is(err, ErrUpgradeRequired):
-		return CodeUpgradeRequired
 	case errors.Is(err, ErrInfeasible):
 		return CodeInfeasible
 	case errors.Is(err, ErrSearchLimit):

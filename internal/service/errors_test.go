@@ -23,7 +23,6 @@ func TestCodeStatusClosedSet(t *testing.T) {
 		CodePayloadTooLarge: http.StatusRequestEntityTooLarge,
 		CodeInfeasible:      http.StatusUnprocessableEntity,
 		CodeSearchLimit:     http.StatusUnprocessableEntity,
-		CodeUpgradeRequired: http.StatusUpgradeRequired,
 		CodeCapacity:        http.StatusServiceUnavailable,
 		CodeOverloaded:      http.StatusTooManyRequests,
 		CodeTenantQuota:     http.StatusTooManyRequests,
@@ -115,7 +114,6 @@ func TestErrorTable(t *testing.T) {
 		{"events empty batch", "POST", "/v1/sessions/" + sess.SessionID + "/events", `{"events":[]}`, CodeBadRequest, false},
 		{"schedule unknown session", "GET", "/v1/sessions/nope/schedule", "", CodeSessionNotFound, false},
 		{"watch unknown session", "GET", "/v1/sessions/nope/watch", "", CodeSessionNotFound, false},
-		{"watch without upgrade", "GET", "/v1/sessions/" + sess.SessionID + "/watch", "", CodeUpgradeRequired, false},
 		{"delete unknown session", "DELETE", "/v1/sessions/nope", "", CodeSessionNotFound, false},
 	}
 	for _, tc := range cases {
@@ -179,7 +177,6 @@ func TestClassifySentinels(t *testing.T) {
 		{ErrTooManySessions, CodeCapacity},
 		{ErrSessionNotFound, CodeSessionNotFound},
 		{ErrPayloadTooLarge, CodePayloadTooLarge},
-		{ErrUpgradeRequired, CodeUpgradeRequired},
 		{ErrInfeasible, CodeInfeasible},
 		{ErrSearchLimit, CodeSearchLimit},
 		{errors.New("mystery"), CodeInternal},

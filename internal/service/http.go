@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/resilience"
-	"repro/internal/ws"
 )
 
 // HTTPOptions tunes the JSON transport around an Engine.
@@ -130,15 +129,15 @@ type PlanResponse struct {
 //	POST   /v1/sessions               SessionRequest    → SessionResponse (solve + open a reclaiming session)
 //	POST   /v1/sessions/{id}/events   {"events":[…]}    → per-event outcomes + energy state
 //	GET    /v1/sessions/{id}/schedule merged execution state of the session
-//	GET    /v1/sessions/{id}/watch    WebSocket: re-solved components pushed as Replan finishes them
+//	GET    /v1/sessions/{id}/watch    SSE: schedule / component / event … done|closed as Replan finishes
 //	GET    /v1/sessions               live-session listing (+count)
 //	DELETE /v1/sessions/{id}          close a session
 //	GET    /v1/stats                  engine counters (hits, misses, coalesced, solves…)
 //	GET    /healthz                   liveness + engine stats
 //
-// The two streaming routes share one event envelope ({seq, type, data}:
-// StreamEvent); /v1/solve/stream carries it in SSE frames, /watch in
-// WebSocket text frames.
+// The two streaming routes share one transport: SSE frames carrying one
+// event envelope ({seq, type, data}: StreamEvent), numbered per stream
+// from 1.
 //
 // The handler is httptest-friendly: it holds no global state beyond the
 // Engine (plus its session store) and can be mounted under any server.
@@ -149,6 +148,7 @@ func NewHandler(e *Engine, opts HTTPOptions) http.Handler {
 		IdleTTL:     opts.SessionIdleTTL,
 		FinishedTTL: opts.SessionFinishedTTL,
 	})
+	var shutdown serverShutdown
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
 		var req SolveRequest
@@ -169,14 +169,9 @@ func NewHandler(e *Engine, opts HTTPOptions) http.Handler {
 		if !decodeJSON(w, r, opts.MaxBodyBytes, &req) {
 			return
 		}
-		f, ok := w.(http.Flusher)
-		if !ok {
-			writeError(w, errors.New("service: response writer cannot stream"))
-			return
-		}
 		ctx, cancel := requestContext(r.Context(), req.TimeoutMS, opts)
 		defer cancel()
-		sse := &sseWriter{w: w, f: f}
+		sse := &sseWriter{w: w}
 		em := NewStreamEmitter(sse.send)
 		resp, err := e.SolveStream(ctx, &req, em)
 		if err != nil {
@@ -289,16 +284,7 @@ func NewHandler(e *Engine, opts HTTPOptions) http.Handler {
 			writeError(w, err)
 			return
 		}
-		conn, err := ws.Upgrade(w, r)
-		if err != nil {
-			if errors.Is(err, ws.ErrNotWebSocket) {
-				// Plain HTTP request: the writer is untouched, answer 426.
-				writeError(w, fmt.Errorf("%w: %v", ErrUpgradeRequired, err))
-			}
-			// Otherwise the connection was hijacked and is unusable.
-			return
-		}
-		serveWatch(conn, store, entry)
+		serveWatch(r.Context(), shutdown.of(r.Context()), w, store, entry)
 	})
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, store.List())

@@ -22,11 +22,12 @@ import (
 // first component and each `component` event leaves the moment that
 // component's solver finishes, while later components are still solving.
 // POST /v1/solve/stream exposes it as SSE; GET /v1/sessions/{id}/watch
-// pushes the same envelope over WebSocket for executing reclaim sessions.
+// pushes the same envelope, over the same SSE writer, for executing
+// reclaim sessions.
 
-// StreamEvent is the shared event envelope of both streaming surfaces
-// (SSE solve streams and WebSocket session watches): a per-stream sequence
-// number, an event type, and the type-specific payload.
+// StreamEvent is the shared event envelope of both SSE streaming surfaces
+// (solve streams and session watches): a per-stream sequence number, an
+// event type, and the type-specific payload.
 type StreamEvent struct {
 	Seq  uint64          `json:"seq"`
 	Type string          `json:"type"`
@@ -274,7 +275,6 @@ func componentPlanJSON(cp plan.ComponentPlan) ComponentPlanJSON {
 // emitting anything can still answer with a plain JSON error status.
 type sseWriter struct {
 	w       http.ResponseWriter
-	f       http.Flusher
 	started bool
 }
 
@@ -298,6 +298,5 @@ func (s *sseWriter) send(ev StreamEvent) error {
 	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", ev.Type, body); err != nil {
 		return err
 	}
-	s.f.Flush()
-	return nil
+	return http.NewResponseController(s.w).Flush()
 }

@@ -1,32 +1,36 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/ws"
 )
 
-// The session watch feed: GET /v1/sessions/{id}/watch upgrades to
-// WebSocket and pushes the session's life as StreamEvents — an opening
-// `schedule` snapshot, a `component` event the moment Replan finishes
-// re-solving a dirtied component (from inside the solver fan-out, while
-// other components may still be solving), an `event` per applied
+// The session watch feed: GET /v1/sessions/{id}/watch answers with an SSE
+// stream, written by the same sseWriter + StreamEmitter pair as
+// /v1/solve/stream, that pushes the session's life as StreamEvents — an
+// opening `schedule` snapshot, a `component` event the moment Replan
+// finishes re-solving a dirtied component (from inside the solver fan-out,
+// while other components may still be solving), an `event` per applied
 // completion, and a terminal `done` (last task completed) or `closed`
-// (session deleted or evicted). Watching replaces polling
-// GET /v1/sessions/{id}/schedule.
+// (session deleted or evicted). Each watcher's emitter numbers its own
+// stream from 1. Watching replaces polling GET /v1/sessions/{id}/schedule.
 
 // watchBuffer is each subscriber's event buffer. A consumer that falls
-// this many events behind is dropped (its connection closed), never
-// waited on: one slow watcher must not stall a replanning session.
+// this many events behind is dropped (its stream ended), never waited on:
+// one slow watcher must not stall a replanning session.
 const watchBuffer = 64
 
-// watchWriteTimeout bounds each frame write to a watcher.
+// watchWriteTimeout bounds each frame write to a watcher. It replaces the
+// server's WriteTimeout, which a watch outlives: the watch runs as long as
+// its session.
 const watchWriteTimeout = 10 * time.Second
 
-// watchSub is one subscriber's buffered event queue.
+// watchSub is one subscriber's buffered event queue. Its events carry no
+// sequence number: the watcher's emitter assigns one as it sends them.
 type watchSub struct {
 	ch chan StreamEvent
 }
@@ -38,7 +42,6 @@ type watchSub struct {
 // The hub's lock is leaf-level: nothing is called while holding it.
 type watchHub struct {
 	mu     sync.Mutex
-	seq    uint64
 	subs   map[*watchSub]struct{}
 	closed bool
 	// final is the terminal event (done/closed), kept so watchers that
@@ -75,19 +78,9 @@ func (h *watchHub) unsubscribe(s *watchSub) {
 	}
 }
 
-// nextSeq reserves the next sequence number — used for the snapshot event,
-// which is built outside the hub lock (it needs the session's lock, held
-// by broadcasters) and may therefore interleave with queued events.
-func (h *watchHub) nextSeq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seq++
-	return h.seq
-}
-
 // broadcast marshals data once and queues it to every subscriber. A full
 // subscriber buffer means the consumer is too slow: it is dropped on the
-// spot (channel closed, connection torn down by its writer loop).
+// spot (channel closed, stream ended by its writer loop).
 func (h *watchHub) broadcast(typ string, data any) {
 	raw, err := json.Marshal(data)
 	if err != nil {
@@ -98,8 +91,7 @@ func (h *watchHub) broadcast(typ string, data any) {
 	if h.closed {
 		return
 	}
-	h.seq++
-	ev := StreamEvent{Seq: h.seq, Type: typ, Data: raw}
+	ev := StreamEvent{Type: typ, Data: raw}
 	for s := range h.subs {
 		select {
 		case s.ch <- ev:
@@ -126,8 +118,7 @@ func (h *watchHub) close(typ string, data any) {
 		return
 	}
 	h.closed = true
-	h.seq++
-	ev := StreamEvent{Seq: h.seq, Type: typ, Data: raw}
+	ev := StreamEvent{Type: typ, Data: raw}
 	h.final = &ev
 	for s := range h.subs {
 		select {
@@ -167,73 +158,75 @@ type WatchComponentData struct {
 	Profiles [][]SegmentJSON `json:"profiles,omitempty"`
 }
 
-// serveWatch runs one watcher connection to completion: snapshot, queued
-// events, terminal event. It owns conn and closes it on every path. The
-// reader goroutine consumes client frames (pongs, close) and flags
-// disconnects; the writer loop is the only frame producer.
-func serveWatch(conn *ws.Conn, st *SessionStore, entry *sessionEntry) {
-	defer conn.Close()
-	hub := entry.hub
-	sub, final := hub.subscribe()
-
-	// Snapshot outside the hub lock: building it takes the session lock,
-	// which broadcasters hold while calling into the hub — holding both
-	// here would deadlock. The cost is only that the snapshot's sequence
-	// number may interleave with concurrently queued events; consumers
-	// reconcile by task state, which the snapshot carries in full.
-	writeEvent := func(ev StreamEvent) error {
-		body, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		conn.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		return conn.WriteText(body)
+// serveWatch runs one watcher to completion on w as SSE: snapshot, queued
+// events, terminal event, numbered from 1 by the watcher's own emitter. It
+// ends early when the client goes away (ctx) or the server shuts down
+// (stop).
+func serveWatch(ctx context.Context, stop <-chan struct{}, w http.ResponseWriter, st *SessionStore, entry *sessionEntry) {
+	sse := &sseWriter{w: w}
+	rc := http.NewResponseController(w)
+	em := NewStreamEmitter(func(ev StreamEvent) error {
+		// Unsupported by the writer: keep streaming; should the server's
+		// own deadline pass, the frame write fails and ends the watch.
+		_ = rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
+		return sse.send(ev)
+	})
+	sub, final := entry.hub.subscribe()
+	if sub != nil {
+		defer entry.hub.unsubscribe(sub)
 	}
+	// Snapshot after subscribing, outside the hub lock: building it takes
+	// the session lock, which broadcasters hold while calling into the hub
+	// — holding both here would deadlock. Events queued meanwhile follow
+	// the snapshot, which may already reflect them; consumers reconcile by
+	// task state, which the snapshot carries in full.
 	if snap, err := st.scheduleOf(entry); err == nil {
-		raw, err := json.Marshal(snap)
-		if err == nil {
-			if writeEvent(StreamEvent{Seq: hub.nextSeq(), Type: EventSchedule, Data: raw}) != nil {
-				if sub != nil {
-					hub.unsubscribe(sub)
-				}
-				return
-			}
+		if em.Emit(EventSchedule, snap) != nil {
+			return
 		}
 	}
 	if sub == nil {
 		// Session already over: snapshot plus the recorded terminal event.
-		if final != nil {
-			writeEvent(*final)
-		}
-		conn.WriteClose(1000)
+		_ = em.Emit(final.Type, final.Data) // the feed ends either way
 		return
 	}
-	defer hub.unsubscribe(sub)
-
-	clientGone := make(chan struct{})
-	go func() {
-		defer close(clientGone)
-		for {
-			if _, err := conn.ReadMessage(); err != nil {
-				return
-			}
-		}
-	}()
 	for {
 		select {
 		case ev, ok := <-sub.ch:
-			if !ok {
-				// Hub closed (terminal already delivered through the buffer)
-				// or this watcher was dropped for falling behind; either way
-				// the feed is over.
-				conn.WriteClose(1000)
+			// Closed: the hub closed (terminal already delivered through
+			// the buffer) or this watcher fell behind and was dropped;
+			// either way the feed is over.
+			if !ok || em.Emit(ev.Type, ev.Data) != nil {
 				return
 			}
-			if err := writeEvent(ev); err != nil {
-				return
-			}
-		case <-clientGone:
+		case <-ctx.Done():
+			return
+		case <-stop:
 			return
 		}
 	}
+}
+
+// serverShutdown ends open watches when the handler's server shuts down.
+// http.Server.Shutdown waits for active handlers, and a watch handler runs
+// as long as its session, so an attached watcher would otherwise hold a
+// graceful drain until its deadline. The hook is registered once, on the
+// first watch the handler serves.
+type serverShutdown struct {
+	once sync.Once
+	done <-chan struct{}
+}
+
+// of returns a channel closed when the server that ctx's request arrived
+// on begins Shutdown; nil (never ready) outside an http.Server.
+func (s *serverShutdown) of(ctx context.Context) <-chan struct{} {
+	s.once.Do(func() {
+		if srv, ok := ctx.Value(http.ServerContextKey).(*http.Server); ok {
+			// Shutdown reruns its hooks on every call; cancel is idempotent.
+			sctx, cancel := context.WithCancel(context.Background())
+			srv.RegisterOnShutdown(cancel)
+			s.done = sctx.Done()
+		}
+	})
+	return s.done
 }

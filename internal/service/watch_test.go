@@ -1,40 +1,78 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/ws"
 )
 
-func dialWatch(t *testing.T, srvURL, id string) *ws.Conn {
+// dialWatch opens a session's SSE watch. The response headers leave with
+// the opening snapshot, so the watcher is subscribed once this returns.
+func dialWatch(t *testing.T, srvURL, id string) *bufio.Reader {
 	t.Helper()
-	conn, err := ws.Dial(strings.Replace(srvURL, "http://", "ws://", 1) + "/v1/sessions/" + id + "/watch")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srvURL+"/v1/sessions/"+id+"/watch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("dial watch: %v", err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	return conn
+	t.Cleanup(func() { resp.Body.Close() })
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+		t.Fatalf("watch: HTTP %d, content type %q", resp.StatusCode, ct)
+	}
+	return bufio.NewReader(resp.Body)
 }
 
-func readWatchEvent(t *testing.T, conn *ws.Conn) StreamEvent {
+func readWatchEvent(t *testing.T, conn *bufio.Reader) StreamEvent {
 	t.Helper()
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		t.Fatalf("reading watch event: %v", err)
+	for {
+		line, err := conn.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading watch event: %v", err)
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			continue
+		}
+		var ev StreamEvent
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("bad watch frame %q: %v", line, err)
+		}
+		return ev
 	}
-	var ev StreamEvent
-	if err := json.Unmarshal(msg, &ev); err != nil {
-		t.Fatalf("bad watch frame %s: %v", msg, err)
+}
+
+// expectWatchEnd asserts that the server ends the stream: nothing but the
+// blank line closing the last frame is left before EOF.
+func expectWatchEnd(t *testing.T, conn *bufio.Reader) {
+	t.Helper()
+	rest, err := io.ReadAll(conn)
+	if err != nil || strings.TrimSpace(string(rest)) != "" {
+		t.Fatalf("expected the stream to end, got %q (%v)", rest, err)
 	}
-	return ev
+}
+
+// postCompletion completes one task of a chainSessionBody session with a
+// deviating duration, which triggers a residual replan.
+func postCompletion(t *testing.T, srvURL, id string, task int) {
+	t.Helper()
+	body := fmt.Sprintf(`{"events":[{"task":%d,"actual_duration":2.0}]}`, task)
+	resp, data := postJSON(t, srvURL+"/v1/sessions/"+id+"/events", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events: HTTP %d: %s", resp.StatusCode, data)
+	}
 }
 
 // TestWatchLifecycle drives a watcher through a session's whole life:
@@ -134,38 +172,95 @@ func TestWatchClosedOnDelete(t *testing.T) {
 	if data.Reason != "deleted" {
 		t.Fatalf("reason %q, want deleted", data.Reason)
 	}
-	// The server then closes the connection cleanly.
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.ReadMessage(); err == nil {
-		t.Fatal("expected the connection to close after the terminal event")
+	// The server then ends the stream.
+	expectWatchEnd(t, conn)
+}
+
+// TestWatchSeqPerWatcher: wherever in the session's life a watcher
+// attaches, its stream is numbered 1, 2, 3, … and carries exactly one
+// terminal event. chainSessionBody has four tasks; every completion
+// deviates, and the fourth finishes the session.
+func TestWatchSeqPerWatcher(t *testing.T) {
+	cases := []struct {
+		name string
+		// attachAfter lists, per watcher, how many completions precede its
+		// attach.
+		attachAfter []int
+	}{
+		{"attach after k events", []int{1}},
+		{"attach after the last event", []int{4}},
+		{"four watchers across one lifecycle", []int{0, 1, 3, 4}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, Options{}, HTTPOptions{})
+			sess := createSession(t, srv.URL, chainSessionBody)
+			var conns []*bufio.Reader
+			task := 0
+			for _, at := range tc.attachAfter {
+				for ; task < at; task++ {
+					postCompletion(t, srv.URL, sess.SessionID, task)
+				}
+				conns = append(conns, dialWatch(t, srv.URL, sess.SessionID))
+			}
+			for ; task < 4; task++ {
+				postCompletion(t, srv.URL, sess.SessionID, task)
+			}
+			for i, conn := range conns {
+				for seq := uint64(1); ; seq++ {
+					ev := readWatchEvent(t, conn)
+					if ev.Seq != seq {
+						t.Fatalf("watcher %d: event %d is %s#%d", i, seq, ev.Type, ev.Seq)
+					}
+					if ev.Type == EventDone || ev.Type == EventClosed {
+						break
+					}
+				}
+				expectWatchEnd(t, conn)
+			}
+		})
 	}
 }
 
-// TestWatchPlainRequest426: a non-WebSocket GET on the watch route answers
-// 426 upgrade_required as a plain JSON error.
-func TestWatchPlainRequest426(t *testing.T) {
+// TestWatchOutlivesWriteTimeout: a watch lives as long as its session, so
+// it must outlast the server's WriteTimeout — every frame gets its own
+// write deadline.
+func TestWatchOutlivesWriteTimeout(t *testing.T) {
+	srv := httptest.NewUnstartedServer(NewHandler(NewEngine(Options{}), HTTPOptions{}))
+	srv.Config.WriteTimeout = 300 * time.Millisecond
+	srv.Start()
+	t.Cleanup(srv.Close)
+	sess := createSession(t, srv.URL, chainSessionBody)
+	conn := dialWatch(t, srv.URL, sess.SessionID)
+	if ev := readWatchEvent(t, conn); ev.Type != EventSchedule {
+		t.Fatalf("first event %q, want schedule", ev.Type)
+	}
+	time.Sleep(700 * time.Millisecond)
+	postCompletion(t, srv.URL, sess.SessionID, 0)
+	if ev := readWatchEvent(t, conn); ev.Type != EventComponent && ev.Type != EventApplied {
+		t.Fatalf("event %q after the write timeout, want component or event", ev.Type)
+	}
+}
+
+// TestWatchDoesNotHoldShutdown: Shutdown waits for active handlers, and a
+// watch handler runs as long as its session — an open watch must end when
+// its server shuts down, or every graceful drain with a watcher attached
+// runs into its deadline.
+func TestWatchDoesNotHoldShutdown(t *testing.T) {
 	srv, _ := newTestServer(t, Options{}, HTTPOptions{})
 	sess := createSession(t, srv.URL, chainSessionBody)
-	resp, err := http.Get(srv.URL + "/v1/sessions/" + sess.SessionID + "/watch")
-	if err != nil {
-		t.Fatal(err)
+	conn := dialWatch(t, srv.URL, sess.SessionID)
+	if ev := readWatchEvent(t, conn); ev.Type != EventSchedule {
+		t.Fatalf("first event %q, want schedule", ev.Type)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired {
-		t.Fatalf("status %d, want 426", resp.StatusCode)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an open watch: %v", err)
 	}
-	var env errorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != string(CodeUpgradeRequired) {
-		t.Fatalf("error body %+v (%v)", env, err)
-	}
-}
-
-// TestWatchUnknownSession404: the lookup happens before the upgrade, so an
-// unknown ID is an ordinary 404 (a dialing client sees a failed handshake).
-func TestWatchUnknownSession404(t *testing.T) {
-	srv, _ := newTestServer(t, Options{}, HTTPOptions{})
-	if _, err := ws.Dial(strings.Replace(srv.URL, "http://", "ws://", 1) + "/v1/sessions/nope/watch"); err == nil {
-		t.Fatal("dial to an unknown session succeeded")
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Shutdown with an open watch took %v", elapsed)
 	}
 }
 

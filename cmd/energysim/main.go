@@ -467,51 +467,23 @@ func parseModes(s string) ([]float64, error) {
 	return modes, nil
 }
 
+// solve runs the CLI-only solvers (numeric, uniform, allmax) directly and
+// every planner selector through plan.Analyze + Execute, so the solver that
+// runs is the one -plan prints.
 func solve(p *core.Problem, m model.Model, solver string, K int) (*core.Solution, error) {
 	switch solver {
-	case "auto":
-		switch m.Kind {
-		case model.Continuous:
-			return p.SolveContinuous(m.SMax, core.ContinuousOptions{})
-		case model.VddHopping:
-			return p.SolveVddHopping(m)
-		case model.Discrete:
-			if p.G.N() <= 16 {
-				return p.SolveDiscreteBB(m, core.DiscreteOptions{})
-			}
-			return p.SolveDiscreteGreedy(m)
-		case model.Incremental:
-			return p.SolveIncrementalApprox(m, K, core.ContinuousOptions{})
-		}
 	case "numeric":
 		return p.SolveContinuousNumeric(m.SMax, core.ContinuousOptions{})
-	case "bb":
-		return p.SolveDiscreteBB(m, core.DiscreteOptions{})
-	case "sp":
-		reduced, err := p.G.TransitiveReduction()
-		if err != nil {
-			return nil, err
-		}
-		expr, ok := graph.DecomposeSP(reduced)
-		if !ok {
-			return nil, fmt.Errorf("execution graph is not series-parallel; use -solver bb")
-		}
-		return p.SolveDiscreteSP(m, expr, core.DiscreteOptions{})
-	case "greedy":
-		return p.SolveDiscreteGreedy(m)
-	case "roundup":
-		return p.SolveDiscreteRoundUp(m, core.ContinuousOptions{})
-	case "approx":
-		if m.Kind == model.Incremental {
-			return p.SolveIncrementalApprox(m, K, core.ContinuousOptions{})
-		}
-		return p.SolveDiscreteApprox(m, K, core.ContinuousOptions{})
 	case "uniform":
 		return p.SolveUniform(m)
 	case "allmax":
 		return p.SolveAllMax(m)
 	}
-	return nil, fmt.Errorf("unknown solver %q (or solver incompatible with model %s)", solver, m.Kind)
+	pl, err := plan.Analyze(p, m, plan.Options{Algorithm: solver, K: K})
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute()
 }
 
 func printSpeeds(p *core.Problem, sol *core.Solution) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/plan"
 	"repro/internal/platform"
 )
 
@@ -197,5 +198,46 @@ func TestSolveDispatch(t *testing.T) {
 			// If it is genuinely SP this is fine.
 			t.Skip("graph happened to be series-parallel")
 		}
+	}
+}
+
+// TestSolveAutoRunsThePlan: -solver auto runs the routing -plan prints, on
+// a Discrete instance above 16 tasks too (the plan routes it to
+// branch-and-bound), and answers with Plan.Execute's energy.
+func TestSolveAutoRunsThePlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := loadOrGenerate("", "tree", 24, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping, err := buildMapping(g, "list", 24, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eg, err := platform.BuildExecutionGraph(g, mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmin, _ := eg.MinimalDeadline(2)
+	p, _ := core.NewProblem(eg, dmin*2)
+	dm, _ := model.NewDiscrete([]float64{0.5, 1, 1.5, 2})
+	pl, err := plan.Analyze(p, dm, plan.Options{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pl.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solve(p, dm, "auto", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.G.N() <= 16 || len(pl.Components) != 1 {
+		t.Fatalf("fixture: %d tasks in %d components, want one component above 16 tasks", p.G.N(), len(pl.Components))
+	}
+	if sol.Stats.Algorithm != pl.Components[0].Solver || sol.Energy != want.Energy {
+		t.Fatalf("auto solved with %s (energy %.9g), the plan routes %s (energy %.9g)",
+			sol.Stats.Algorithm, sol.Energy, pl.Components[0].Solver, want.Energy)
 	}
 }

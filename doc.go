@@ -52,31 +52,32 @@
 //
 // # Structure-aware planner
 //
-// The complexity landscape above is a routing table, and the planner makes
-// it executable: Explain splits the execution graph into weakly-connected
-// components (energy is additive across independent subgraphs sharing the
-// deadline), classifies each as chain / fork / join / tree /
-// series-parallel / general DAG, and routes it to the cheapest solver its
-// structure admits — closed forms and the equivalent-weight algebra where
-// Theorems 1–2 apply, the exact Pareto DP on series-parallel shapes,
-// branch-and-bound or the interior point only where nothing cheaper exists.
-// The resulting Plan is explainable (per-component solver, rationale,
-// a-priori bound factor, cost estimate) and executable: Execute runs it on
-// the planner's one component executor — the same pipeline (split → route
-// → solve → merge) behind the serving layer's solves and streams and the
-// reclaiming runtime's replans — which solves independent components
-// concurrently on a bounded worker pool and merges the solutions by task
-// ID.
+// The complexity landscape above is one routing table, written once as
+// SelectRoute in internal/core: SolveAuto, SolveContinuous, and the planner
+// all read its rows. The planner makes it explainable: Explain splits the
+// execution graph into weakly-connected components (energy is additive
+// across independent subgraphs sharing the deadline), classifies each as
+// chain / fork / join / tree / series-parallel / general DAG, and routes it
+// to the cheapest solver its structure admits — closed forms and the
+// equivalent-weight algebra where Theorems 1–2 apply, the exact Pareto DP on
+// series-parallel shapes, branch-and-bound or the interior point only where
+// nothing cheaper exists. The resulting Plan is explainable (per-component
+// solver, rationale, a-priori bound factor, cost estimate) and executable:
+// Execute runs it on the planner's one component executor — the same
+// pipeline (split → route → solve → merge) behind the serving layer's solves
+// and streams and the reclaiming runtime's replans — which solves
+// independent components concurrently on a bounded worker pool and merges
+// the solutions by task ID.
 //
 //	pl, _ := energysched.Explain(prob, m, energysched.PlanOptions{})
 //	fmt.Print(pl)          // the routing table, one line per component
 //	sol, _ := pl.Execute() // components solve in parallel, energies sum
 //
 // Problem.SolvePlanned is the one-call form (split, solve concurrently,
-// merge) without the planner's routing, and Problem.SolveAuto the
-// single-component structured dispatch it runs per component. On a
-// disconnected multi-component workload the planner beats one monolithic
-// interior-point solve by an order of magnitude (the
+// merge) without the planner's explanation and caches, and Problem.SolveAuto
+// the same routing table applied to one component. On a disconnected
+// multi-component workload the planner beats one monolithic interior-point
+// solve by an order of magnitude (the
 // mixed-8-continuous-planner and -direct scenarios of cmd/energybench).
 //
 // # Sparse interior-point kernel

@@ -34,8 +34,9 @@ import (
 
 // Solve paths a scenario can exercise.
 const (
-	// PathDirect runs the model-aware solver on the problem in-process
-	// (core.SolveAuto): the raw kernel cost, no routing, no transport.
+	// PathDirect runs core.SolveAuto on the whole problem in-process: the
+	// routing table without the planner's component split or executor, no
+	// transport.
 	PathDirect = "direct"
 	// PathPlanner routes through the structure-aware planner
 	// (plan.Analyze + Execute): classification plus concurrent

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
@@ -21,9 +20,9 @@ import (
 // graph with weakly-connected components C₁…C_k decomposes into k
 // independent MinEnergy(Cⱼ, D) instances whose optimal energies sum and
 // whose speed assignments stitch back by task ID. This file provides the
-// split/merge helpers plus SolveAuto / SolvePlanned, the model-aware
-// structured dispatch built on them (the explainable routing layer lives in
-// internal/plan).
+// split/merge helpers plus SolveAuto / SolvePlanned, which run the routing
+// table (SelectRoute, route.go) per component; internal/plan runs the same
+// table with explanations, caching, and a concurrent executor.
 
 // Component is one weakly-connected component of an execution graph, wrapped
 // as its own subproblem under the original deadline.
@@ -114,77 +113,6 @@ func (p *Problem) MergeSolutionsAt(comps []Component, sols []*Solution, release 
 	return &Solution{Model: mdl, Schedule: s, Energy: s.Energy, Stats: st}, nil
 }
 
-// ErrNotSeriesParallel is returned by SolveDiscreteSPAuto when the
-// transitive reduction of the execution graph is not series-parallel.
-var ErrNotSeriesParallel = errors.New("core: execution graph is not series-parallel")
-
-// SolveDiscreteSPAuto recognizes a series-parallel shape in the transitive
-// reduction of the execution graph and runs the exact Pareto DP, re-expanding
-// the speeds onto the original graph (path structure, hence feasibility, is
-// identical). Returns ErrNotSeriesParallel when the shape is absent.
-func (p *Problem) SolveDiscreteSPAuto(m model.Model, opts DiscreteOptions) (*Solution, error) {
-	reduced, err := p.G.TransitiveReduction()
-	if err != nil {
-		return nil, err
-	}
-	expr, ok := graph.DecomposeSP(reduced)
-	if !ok {
-		return nil, ErrNotSeriesParallel
-	}
-	return p.SolveDiscreteSPOn(m, reduced, expr, opts)
-}
-
-// SolveDiscreteSPOn is SolveDiscreteSPAuto with the recognition already
-// done: expr is a series-parallel decomposition of reduced, the transitive
-// reduction of the execution graph — or of the execution graph itself, in
-// which case reduced is nil and the DP runs on p directly. The planner uses
-// this to reuse the expression recovered during classification instead of
-// paying the O(n²·m) recognition twice.
-func (p *Problem) SolveDiscreteSPOn(m model.Model, reduced *graph.Graph, expr *graph.SPExpr, opts DiscreteOptions) (*Solution, error) {
-	if reduced == nil {
-		return p.SolveDiscreteSP(m, expr, opts)
-	}
-	rp, err := NewProblem(reduced, p.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := rp.SolveDiscreteSP(m, expr, opts)
-	if err != nil {
-		return nil, err
-	}
-	speeds, err := sol.Speeds()
-	if err != nil {
-		return nil, fmt.Errorf("core: SP solution has non-constant speeds: %w", err)
-	}
-	s, err := sched.FromSpeeds(p.G, speeds)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{Model: sol.Model, Schedule: s, Energy: s.Energy, Stats: sol.Stats}, nil
-}
-
-// SolveSPContinuousOn runs the Theorem 2 equivalent-weight algebra with the
-// recognition already done (same contract as SolveDiscreteSPOn: reduced nil
-// means expr refers to p's own graph). Errors when the finite smax binds —
-// callers fall back to the interior point.
-func (p *Problem) SolveSPContinuousOn(reduced *graph.Graph, expr *graph.SPExpr, smax float64) (*Solution, error) {
-	if reduced == nil {
-		return p.SolveSPContinuous(expr, smax)
-	}
-	// Speeds computed on the reduced graph are valid for the original: both
-	// graphs have identical path structure.
-	rp := &Problem{G: reduced, Deadline: p.Deadline}
-	sol, err := rp.SolveSPContinuous(expr, smax)
-	if err != nil {
-		return nil, err
-	}
-	speeds, err := sol.Speeds()
-	if err != nil {
-		return nil, err
-	}
-	return p.solutionFromSpeeds(sol.Model, speeds, sol.Stats)
-}
-
 // PlannedOptions tunes SolveAuto and SolvePlanned.
 type PlannedOptions struct {
 	// Workers bounds concurrent component solves (default GOMAXPROCS).
@@ -211,30 +139,27 @@ func (o PlannedOptions) k() int {
 	return 4
 }
 
-// SolveAuto picks the cheapest exact method for the model on this problem,
-// mirroring the paper's complexity landscape: the continuous dispatcher's
-// closed forms / SP algebra / interior point, the Vdd-Hopping LP, the exact
-// Pareto DP on series-parallel shapes (branch-and-bound otherwise) for
-// Discrete, and the Theorem 5 approximation for Incremental.
+// residual reports whether the options carry constraints the closed forms
+// and the Pareto DP cannot express: release times, or a speed floor.
+func (o PlannedOptions) residual() bool {
+	return o.Continuous.SMin > 0 || hasRelease(o.Continuous.Release) || hasRelease(o.Discrete.Release)
+}
+
+// SolveAuto runs the routing table (SelectRoute) on this problem as one
+// component: the cheapest exact method the model and structure admit, or
+// the Theorem 5 approximation for Incremental.
 func (p *Problem) SolveAuto(m model.Model, opts PlannedOptions) (*Solution, error) {
-	switch m.Kind {
-	case model.Continuous:
-		return p.SolveContinuous(m.SMax, opts.Continuous)
-	case model.VddHopping:
-		return p.SolveVddHopping(m)
-	case model.Incremental:
-		return p.SolveIncrementalApprox(m, opts.k(), opts.Continuous)
-	case model.Discrete:
-		sol, err := p.SolveDiscreteSPAuto(m, opts.Discrete)
-		if err == nil {
-			return sol, nil
-		}
-		if !errors.Is(err, ErrNotSeriesParallel) && !errors.Is(err, ErrSearchLimit) {
-			return nil, err
-		}
-		return p.SolveDiscreteBB(m, opts.Discrete)
+	// Only the Continuous and Discrete auto rows read the class, and only
+	// without residual constraints: skip the recognition everywhere else.
+	sh := Shape{Class: ClassGeneralDAG}
+	if (m.Kind == model.Continuous || m.Kind == model.Discrete) && !opts.residual() {
+		sh = Classify(p.G)
 	}
-	return nil, fmt.Errorf("core: no auto solver for model %s", m.Kind)
+	r, err := SelectRoute(m, AlgoAuto, sh.Class, p.G.N(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.SolveRoute(m, r.Solver, sh, opts)
 }
 
 // SolvePlanned is the component-aware entry point: it splits the execution

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/convex"
-	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/model"
 )
@@ -402,32 +401,14 @@ func (p *Problem) warmStartPoint(warm *WarmStart, wn, lo, hi, rn []float64) lina
 	return x0
 }
 
-// SolveContinuous dispatches to the cheapest exact continuous algorithm:
-// chain and fork closed forms, the tree/SP equivalent-weight algebra when
-// smax does not bind, and the interior-point geometric program otherwise.
+// SolveContinuous runs the routing table (SelectRoute) on the Continuous
+// model: the chain and fork closed forms, the tree/SP equivalent-weight
+// algebra when smax does not bind, and the interior-point geometric
+// program otherwise.
 func (p *Problem) SolveContinuous(smax float64, opts ContinuousOptions) (*Solution, error) {
-	if opts.SMin > 0 || (opts.Release != nil && hasRelease(opts.Release)) {
-		// The closed forms assume speeds unbounded below and zero releases.
-		return p.SolveContinuousNumeric(smax, opts)
+	m, err := model.NewContinuous(smax)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := p.G.IsChain(); ok {
-		return p.SolveChainContinuous(smax)
-	}
-	if _, ok := p.G.IsFork(); ok {
-		return p.SolveForkContinuous(smax)
-	}
-	if e, ok := graph.TreeToSP(p.G); ok {
-		if sol, err := p.SolveSPContinuous(e, smax); err == nil {
-			sol.Stats.Algorithm = "tree-equivalent-weight"
-			return sol, nil
-		}
-		// smax binds: fall through to numeric.
-	} else if reduced, rerr := p.G.TransitiveReduction(); rerr == nil {
-		if e, ok := graph.DecomposeSP(reduced); ok {
-			if sol, err := p.SolveSPContinuousOn(reduced, e, smax); err == nil {
-				return sol, nil
-			}
-		}
-	}
-	return p.SolveContinuousNumeric(smax, opts)
+	return p.SolveAuto(m, PlannedOptions{Continuous: opts})
 }

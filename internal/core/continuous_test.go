@@ -403,6 +403,23 @@ func TestNumericScaleInvariance(t *testing.T) {
 	}
 }
 
+// TestSolveContinuousChainAllocs pins the routed closed-form path: a
+// 256-task chain goes through Classify, SelectRoute, and SolveRoute with no
+// SP expression built and no rationale formatted, so it allocates no more
+// than the inline dispatch it replaced (280 allocations with go1.24).
+func TestSolveContinuousChainAllocs(t *testing.T) {
+	chain := graph.Chain(rand.New(rand.NewSource(1)), 256, graph.UniformWeights(1, 3))
+	p, _ := NewProblem(chain, chain.TotalWeight())
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := p.SolveContinuous(2, ContinuousOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 280 {
+		t.Fatalf("SolveContinuous on a 256-task chain: %v allocations, want ≤ 280", allocs)
+	}
+}
+
 func TestDispatcherPicksClosedForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	chain := graph.Chain(rng, 6, graph.UniformWeights(1, 3))

@@ -321,9 +321,14 @@ func (p *Problem) SolveDiscreteRoundUp(m model.Model, opts ContinuousOptions) (*
 		}
 		speeds[i] = up
 	}
-	alpha := m.MaxGap()
-	bound := (1 + alpha/m.SMin) * (1 + alpha/m.SMin)
-	return p.solutionFromSpeedsAt(m, speeds, opts.Release, Stats{Algorithm: "discrete-round-up", Exact: false, BoundFactor: bound})
+	return p.solutionFromSpeedsAt(m, speeds, opts.Release, Stats{Algorithm: "discrete-roundup", Exact: false, BoundFactor: roundUpBound(m)})
+}
+
+// roundUpBound is SolveDiscreteRoundUp's a-priori factor (1+α/s₁)², α the
+// largest gap between consecutive modes.
+func roundUpBound(m model.Model) float64 {
+	a := 1 + m.MaxGap()/m.SMin
+	return a * a
 }
 
 // --- Exact Pareto dynamic program on series-parallel execution graphs ---
@@ -480,7 +485,7 @@ func (p *Problem) SolveDiscreteSP(m model.Model, e *graph.SPExpr, opts DiscreteO
 	}
 	rebuild(root, bestIdx)
 	return p.solutionFromSpeeds(m, speeds, Stats{
-		Algorithm:    "discrete-sp-pareto",
+		Algorithm:    "discrete-sp-dp",
 		FrontierPeak: peak,
 		Exact:        true,
 		BoundFactor:  1,

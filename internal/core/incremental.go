@@ -36,7 +36,7 @@ func (p *Problem) SolveIncrementalApprox(m model.Model, K int, opts ContinuousOp
 	if err != nil {
 		return nil, err
 	}
-	sol.Stats.Algorithm = "incremental-approx(K)"
+	sol.Stats.Algorithm = "incremental-approx"
 	sol.Stats.BoundFactor = bound
 	return sol, nil
 }
@@ -53,7 +53,7 @@ func (p *Problem) SolveDiscreteApprox(m model.Model, K int, opts ContinuousOptio
 	if err != nil {
 		return nil, err
 	}
-	sol.Stats.Algorithm = "discrete-approx(K)"
+	sol.Stats.Algorithm = "discrete-approx"
 	sol.Stats.BoundFactor = bound
 	return sol, nil
 }

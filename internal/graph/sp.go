@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -382,35 +383,37 @@ func ChainExpr(tasks []int) *SPExpr {
 // TreeToSP converts an out-tree (root has no predecessors) or in-tree into
 // the equivalent SP expression: an out-tree rooted at r is
 // Series(r, Parallel(subtrees)); an in-tree is the mirror image. Returns
-// false if g is neither.
+// false if g is neither. Linear in the tree size, chains included.
 func TreeToSP(g *Graph) (*SPExpr, bool) {
 	if root, ok := g.IsOutTree(); ok {
-		return outTreeExpr(g, root), true
+		return treeExpr(root, g.Succ, false), true
 	}
 	if root, ok := g.IsInTree(); ok {
-		return inTreeExpr(g, root), true
+		return treeExpr(root, g.Pred, true), true
 	}
 	return nil, false
 }
 
-func outTreeExpr(g *Graph, u int) *SPExpr {
-	if len(g.Succ(u)) == 0 {
-		return SPLeaf(u)
+// treeExpr converts the subtree hanging off u, walking away from the root
+// along next (successors of an out-tree, predecessors of an in-tree). Each
+// single-child run becomes one flat series node in one pass — recursing
+// per task would re-copy the flattened tail at every level, quadratic on
+// chains. An in-tree's run executes root-last, so it is reversed.
+func treeExpr(u int, next func(int) []int, in bool) *SPExpr {
+	var run []*SPExpr
+	for ; len(next(u)) == 1; u = next(u)[0] {
+		run = append(run, SPLeaf(u))
 	}
-	children := make([]*SPExpr, 0, len(g.Succ(u)))
-	for _, v := range g.Succ(u) {
-		children = append(children, outTreeExpr(g, v))
+	run = append(run, SPLeaf(u))
+	if kids := next(u); len(kids) > 1 {
+		par := &SPExpr{Kind: SPParallel, Children: make([]*SPExpr, len(kids))}
+		for i, v := range kids {
+			par.Children[i] = treeExpr(v, next, in)
+		}
+		run = append(run, par)
 	}
-	return SPSeriesOf(SPLeaf(u), SPParallelOf(children...))
-}
-
-func inTreeExpr(g *Graph, u int) *SPExpr {
-	if len(g.Pred(u)) == 0 {
-		return SPLeaf(u)
+	if in {
+		slices.Reverse(run)
 	}
-	children := make([]*SPExpr, 0, len(g.Pred(u)))
-	for _, v := range g.Pred(u) {
-		children = append(children, inTreeExpr(g, v))
-	}
-	return SPSeriesOf(SPParallelOf(children...), SPLeaf(u))
+	return SPSeriesOf(run...)
 }

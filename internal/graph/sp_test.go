@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -181,6 +182,63 @@ func TestTreeToSPInTree(t *testing.T) {
 	for _, edge := range g.Edges() {
 		if !g2.HasEdge(edge[0], edge[1]) {
 			t.Fatalf("edge %v lost in conversion", edge)
+		}
+	}
+}
+
+// treeToSPRecursive is the per-task recursion TreeToSP replaced (quadratic
+// on chains, because every level re-copies the flattened series below it),
+// kept as the oracle for the run-walking conversion.
+func treeToSPRecursive(g *Graph) (*SPExpr, bool) {
+	var out, in func(u int) *SPExpr
+	out = func(u int) *SPExpr {
+		if len(g.Succ(u)) == 0 {
+			return SPLeaf(u)
+		}
+		var children []*SPExpr
+		for _, v := range g.Succ(u) {
+			children = append(children, out(v))
+		}
+		return SPSeriesOf(SPLeaf(u), SPParallelOf(children...))
+	}
+	in = func(u int) *SPExpr {
+		if len(g.Pred(u)) == 0 {
+			return SPLeaf(u)
+		}
+		var children []*SPExpr
+		for _, v := range g.Pred(u) {
+			children = append(children, in(v))
+		}
+		return SPSeriesOf(SPParallelOf(children...), SPLeaf(u))
+	}
+	if root, ok := g.IsOutTree(); ok {
+		return out(root), true
+	}
+	if root, ok := g.IsInTree(); ok {
+		return in(root), true
+	}
+	return nil, false
+}
+
+// TestTreeToSPMatchesRecursion pins the linear TreeToSP to the recursive
+// construction, node for node, over random out-trees, in-trees, chains,
+// forks, and joins.
+func TestTreeToSPMatchesRecursion(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	w := UniformWeights(1, 5)
+	families := []func(n int) *Graph{
+		func(n int) *Graph { return RandomOutTree(rng, n, w) },
+		func(n int) *Graph { return RandomInTree(rng, n, w) },
+		func(n int) *Graph { return Chain(rng, n, w) },
+		func(n int) *Graph { return Fork(rng, n, w) },
+		func(n int) *Graph { return Join(rng, n, w) },
+	}
+	for i := 0; i < 1000; i++ {
+		g := families[i%len(families)](1 + rng.Intn(40))
+		got, ok := TreeToSP(g)
+		want, wok := treeToSPRecursive(g)
+		if ok != wok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d (n=%d): TreeToSP = %v (%v), recursion = %v (%v)", i, g.N(), got, ok, want, wok)
 		}
 	}
 }

@@ -148,115 +148,24 @@ func (pl *Plan) run(ctx context.Context, route bool, sols []*core.Solution, obs 
 	return pl.prob.MergeSolutionsAt(pl.comps, sols, release)
 }
 
-// Solve dispatches one component to its routed solver, reusing the
-// classification artifacts (class, SP expression) recorded during Route and
-// applying the documented fallbacks (SP algebra → interior point when smax
-// binds, Pareto DP → branch-and-bound when the frontier budget is hit).
-// Residual components carry release times and warm seeds into the solver
-// options; both leave every solver's result untouched (releases are extra
+// Solve runs one routed component: the uniform heuristic when overload
+// degraded it, otherwise core.SolveRoute on the component's row, reusing
+// the shape (class, SP expression) recorded during Route. Residual
+// components carry release times and warm seeds into the solver options;
+// both leave every solver's result untouched (releases are extra
 // constraints, warm starts only shrink the work).
 func (rt *Router) Solve(p *core.Problem, cp ComponentPlan) (*core.Solution, error) {
-	if cp.Degraded {
-		// Overload reroute: one uniform speed for the whole component, with
-		// the W/CPW critical-path bound Route attached. Cheapest feasible
-		// schedule the model admits — O(n), no search, no barrier.
-		sol, err := p.SolveUniform(rt.m)
-		if err != nil {
-			return nil, err
-		}
-		sol.Stats.Algorithm = "degraded-uniform"
-		sol.Stats.BoundFactor = cp.BoundFactor
-		return sol, nil
+	if !cp.Degraded {
+		return p.SolveRoute(rt.m, cp.Solver, cp.shape, rt.options(cp.release, cp.warm))
 	}
-	m := rt.m
-	copts := rt.copts
-	copts.Release, copts.Warm = cp.release, cp.warm
-	dopts := rt.dopts
-	dopts.Release, dopts.Warm = cp.release, cp.warm
-	switch rt.algo {
-	case AlgoBB:
-		return p.SolveDiscreteBB(m, dopts)
-	case AlgoSP:
-		sol, err := rt.solveDiscreteSP(p, cp, dopts)
-		if errors.Is(err, core.ErrNotSeriesParallel) {
-			// Route already rejects this; guard against direct construction.
-			return nil, badPlan("algorithm %q requires a series-parallel execution graph", AlgoSP)
-		}
-		return sol, err
-	case AlgoGreedy:
-		return p.SolveDiscreteGreedyOpts(m, dopts)
-	case AlgoRoundUp:
-		return p.SolveDiscreteRoundUp(m, copts)
-	case AlgoApprox:
-		if m.Kind == model.Incremental {
-			return p.SolveIncrementalApprox(m, rt.k, copts)
-		}
-		return p.SolveDiscreteApprox(m, rt.k, copts)
+	// Overload reroute: one uniform speed for the whole component, with the
+	// W/CPW critical-path bound Route attached. Cheapest feasible schedule
+	// the model admits — O(n), no search, no barrier.
+	sol, err := p.SolveUniform(rt.m)
+	if err != nil {
+		return nil, err
 	}
-	// Auto: the model-aware structured dispatch, mirroring core.SolveAuto
-	// but fed from the router's own classification (the recognizers do not
-	// run again). The property suite pins this path to the direct dispatch.
-	switch m.Kind {
-	case model.Continuous:
-		return rt.solveContinuousAuto(p, cp, copts)
-	case model.VddHopping:
-		return p.SolveVddHoppingOpts(m, core.VddOptions{Release: cp.release, Warm: cp.warm})
-	case model.Incremental:
-		return p.SolveIncrementalApprox(m, rt.k, copts)
-	case model.Discrete:
-		if cp.release != nil {
-			// The Pareto DP has no notion of absolute time; residual
-			// components go straight to release-aware branch-and-bound.
-			return p.SolveDiscreteBB(m, dopts)
-		}
-		sol, err := rt.solveDiscreteSP(p, cp, dopts)
-		if err == nil {
-			return sol, nil
-		}
-		if !errors.Is(err, core.ErrNotSeriesParallel) && !errors.Is(err, core.ErrSearchLimit) {
-			return nil, err
-		}
-		return p.SolveDiscreteBB(m, dopts)
-	}
-	return nil, badPlan("no solver for model %s", m.Kind)
-}
-
-// solveDiscreteSP runs the exact Pareto DP on the expression recovered
-// during classification; general DAGs (no expression) report
-// ErrNotSeriesParallel so auto falls back to branch-and-bound.
-func (rt *Router) solveDiscreteSP(p *core.Problem, cp ComponentPlan, dopts core.DiscreteOptions) (*core.Solution, error) {
-	if cp.art.expr == nil {
-		return nil, core.ErrNotSeriesParallel
-	}
-	return p.SolveDiscreteSPOn(rt.m, cp.art.reduced, cp.art.expr, dopts)
-}
-
-// solveContinuousAuto is core.SolveContinuous driven by the recorded class:
-// closed forms for chains and forks, the equivalent-weight algebra for
-// trees and series-parallel shapes, and the interior point for general DAGs
-// or whenever the algebra reports that the finite smax binds. copts already
-// carries the component's release times and warm seed.
-func (rt *Router) solveContinuousAuto(p *core.Problem, cp ComponentPlan, copts core.ContinuousOptions) (*core.Solution, error) {
-	smax := rt.m.SMax
-	if copts.SMin > 0 || copts.Release != nil {
-		// The closed forms assume speeds unbounded below and zero releases.
-		return p.SolveContinuousNumeric(smax, copts)
-	}
-	switch cp.Class {
-	case ClassChain:
-		return p.SolveChainContinuous(smax)
-	case ClassFork:
-		return p.SolveForkContinuous(smax)
-	case ClassJoin, ClassTree:
-		if sol, err := p.SolveSPContinuousOn(nil, cp.art.expr, smax); err == nil {
-			sol.Stats.Algorithm = "tree-equivalent-weight"
-			return sol, nil
-		}
-		// smax binds: fall through to numeric.
-	case ClassSeriesParallel:
-		if sol, err := p.SolveSPContinuousOn(cp.art.reduced, cp.art.expr, smax); err == nil {
-			return sol, nil
-		}
-	}
-	return p.SolveContinuousNumeric(smax, copts)
+	sol.Stats.Algorithm = "degraded-uniform"
+	sol.Stats.BoundFactor = cp.BoundFactor
+	return sol, nil
 }

@@ -12,17 +12,10 @@
 // the stage runner. The merge stitches the component solutions back by
 // task ID (energy is additive across components sharing the deadline).
 //
-// The routing table, for the auto selector:
-//
-//	structure        Continuous                Discrete            Vdd-Hopping   Incremental
-//	chain            chain closed form (T1)    Pareto DP (exact)   LP (T3)       Theorem 5 approx
-//	fork             fork closed form (T1)     Pareto DP (exact)   LP (T3)       Theorem 5 approx
-//	join/tree        equivalent weight (T2)*   Pareto DP (exact)   LP (T3)       Theorem 5 approx
-//	series-parallel  equivalent weight (T2)*   Pareto DP (exact)   LP (T3)       Theorem 5 approx
-//	general DAG      interior point (§2.1)     branch-and-bound    LP (T3)       Theorem 5 approx
-//
-// (*) falls back to the interior point when the finite smax binds; the
-// Pareto DP falls back to branch-and-bound when its frontier budget is hit.
+// The routing table itself is core.SelectRoute — the one place that maps
+// model × selector × class × residual to a solver — and core.SolveRoute
+// runs each row; the planner adds the structure cache, the explanation,
+// overload degradation, and the executor.
 package plan
 
 import (
@@ -36,15 +29,14 @@ import (
 	"repro/internal/model"
 )
 
-// Algorithm selectors accepted by Options.Algorithm. These are the service
-// wire values; internal/service aliases them.
+// Algorithm selectors accepted by Options.Algorithm (see core.SelectRoute).
 const (
-	AlgoAuto    = "auto"    // cheapest exact method for the model
-	AlgoBB      = "bb"      // discrete branch-and-bound (exact)
-	AlgoSP      = "sp"      // discrete Pareto DP on series-parallel shapes (exact)
-	AlgoGreedy  = "greedy"  // discrete greedy heuristic
-	AlgoRoundUp = "roundup" // continuous solve + per-task round-up heuristic
-	AlgoApprox  = "approx"  // Theorem 5 (1+δ/smin)²(1+1/K)² approximation
+	AlgoAuto    = core.AlgoAuto
+	AlgoBB      = core.AlgoBB
+	AlgoSP      = core.AlgoSP
+	AlgoGreedy  = core.AlgoGreedy
+	AlgoRoundUp = core.AlgoRoundUp
+	AlgoApprox  = core.AlgoApprox
 )
 
 // ErrBadPlan tags every analysis-time rejection (unsupported model/algorithm
@@ -86,76 +78,35 @@ type Options struct {
 	Structures *StructureCache
 }
 
-// Class is the structural classification of one component.
-type Class int
+// Class is the structural classification of one component (core.Classify).
+type Class = core.Class
 
-// The classes of the paper's complexity landscape, in recognition order
-// (every chain is a tree and every tree is series-parallel; the planner
-// reports the most specific class because it carries the cheapest solver).
+// The structure classes, as core defines them.
 const (
-	ClassChain Class = iota
-	ClassFork
-	ClassJoin
-	ClassTree
-	ClassSeriesParallel
-	ClassGeneralDAG
+	ClassChain          = core.ClassChain
+	ClassFork           = core.ClassFork
+	ClassJoin           = core.ClassJoin
+	ClassTree           = core.ClassTree
+	ClassSeriesParallel = core.ClassSeriesParallel
+	ClassGeneralDAG     = core.ClassGeneralDAG
 )
 
-func (c Class) String() string {
-	switch c {
-	case ClassChain:
-		return "chain"
-	case ClassFork:
-		return "fork"
-	case ClassJoin:
-		return "join"
-	case ClassTree:
-		return "tree"
-	case ClassSeriesParallel:
-		return "series-parallel"
-	case ClassGeneralDAG:
-		return "general-dag"
-	}
-	return fmt.Sprintf("Class(%d)", int(c))
-}
-
-// artifacts carries the reusable by-products of classification — the
-// series-parallel expression and (when the expression was found on it) the
-// transitive reduction — so Execute never pays the O(n²·m) recognition a
-// second time.
-type artifacts struct {
-	// expr is the series-parallel expression of the component: over the
-	// component graph itself for chains/forks/joins/trees, over reduced for
-	// the series-parallel class, nil for general DAGs.
-	expr *graph.SPExpr
-	// reduced is the transitive reduction expr was decomposed on, nil when
-	// expr refers to the component graph directly.
-	reduced *graph.Graph
-}
-
-// ComponentPlan is the routing decision for one weakly-connected component.
+// ComponentPlan is the routing decision for one weakly-connected component:
+// its core.Route row (solver, rationale, bound, cost), with the rationale
+// and bound of the uniform heuristic when overload degraded it.
 type ComponentPlan struct {
 	// Tasks lists the component's original task IDs.
 	Tasks []int
 	// Class is the recognized structure.
 	Class Class
-	// Solver names the planned solving procedure.
-	Solver string
-	// Rationale explains the choice (theorem reference and fallback).
-	Rationale string
-	// BoundFactor is the a-priori guarantee: 1 for exact solvers, the
-	// Theorem 5 / Proposition 1 factor for approximations, +Inf for
-	// guarantee-free heuristics.
-	BoundFactor float64
-	// Cost is a rough relative cost estimate — comparable between the
-	// components of one plan, not across plans.
-	Cost float64
+	core.Route
 	// Degraded marks a component rerouted to the bounded uniform heuristic
 	// under overload; BoundFactor then carries the a-priori guarantee of
 	// what the caller got instead of the optimum.
 	Degraded bool
 
-	art artifacts
+	// shape is the classification, SP expression included, SolveRoute reuses.
+	shape core.Shape
 	// release holds component-local earliest starts on residual plans
 	// (nil when every task may start at 0).
 	release []float64
@@ -202,9 +153,7 @@ type Plan struct {
 type Router struct {
 	m        model.Model
 	algo     string
-	k        int
-	copts    core.ContinuousOptions
-	dopts    core.DiscreteOptions
+	opts     core.PlannedOptions
 	structs  *StructureCache
 	degraded bool
 }
@@ -216,71 +165,62 @@ func NewRouter(m model.Model, opts Options) (*Router, error) {
 	if algo == "" {
 		algo = AlgoAuto
 	}
-	switch algo {
-	case AlgoAuto, AlgoBB, AlgoSP, AlgoGreedy, AlgoRoundUp, AlgoApprox:
-	default:
-		return nil, badPlan("unknown algorithm %q", opts.Algorithm)
+	if err := core.CheckSelector(m.Kind, algo); err != nil {
+		return nil, badPlan("%v", err)
 	}
-	if algo != AlgoAuto && m.Kind != model.Discrete && m.Kind != model.Incremental {
-		return nil, badPlan("algorithm %q is not defined for the %s model", algo, m.Kind)
-	}
-	k := opts.K
-	if k <= 0 {
-		k = 4
-	}
-	rt := &Router{m: m, algo: algo, k: k, copts: opts.Continuous, dopts: opts.Discrete, structs: opts.Structures, degraded: opts.Degraded}
-	if opts.Structures != nil && rt.copts.Kernels == nil {
-		rt.copts.Kernels = opts.Structures.Kernels()
+	rt := &Router{m: m, algo: algo, structs: opts.Structures, degraded: opts.Degraded,
+		opts: core.PlannedOptions{K: opts.K, Continuous: opts.Continuous, Discrete: opts.Discrete}}
+	if opts.Structures != nil && rt.opts.Continuous.Kernels == nil {
+		rt.opts.Continuous.Kernels = opts.Structures.Kernels()
 	}
 	return rt, nil
 }
 
-// Route classifies one component and picks its solver. rel carries
-// component-local release times on residual plans (nil otherwise). The sp
-// selector's structural requirements are enforced here, exactly as Analyze
-// enforces them for whole plans.
+// options returns the router's solver options carrying one component's
+// release times and warm seed.
+func (rt *Router) options(release []float64, warm *core.WarmStart) core.PlannedOptions {
+	o := rt.opts
+	o.Continuous.Release, o.Continuous.Warm = release, warm
+	o.Discrete.Release, o.Discrete.Warm = release, warm
+	return o
+}
+
+// Route classifies one component (through the structure cache when the
+// router has one) and looks its row up in core.SelectRoute. rel carries
+// component-local release times on residual plans (nil otherwise). Rows the
+// table rejects — the sp selector on a general DAG or a residual
+// component — fail with ErrBadPlan, exactly as Analyze fails for whole
+// plans.
 func (rt *Router) Route(c core.Component, rel []float64) (ComponentPlan, error) {
-	cp := route(c, rt.m, rt.algo, rt.k, rt.dopts, rel, rt.structs)
-	if rt.algo == AlgoSP && cp.Class == ClassGeneralDAG {
-		return ComponentPlan{}, badPlan("algorithm %q requires a series-parallel execution graph (component {%s} is %s)",
-			AlgoSP, idRange(cp.Tasks), cp.Class)
+	g := c.Prob.G
+	var sh core.Shape
+	if rt.structs != nil {
+		sh = rt.structs.classify(g)
+	} else {
+		sh = core.Classify(g)
 	}
-	if rt.algo == AlgoSP && cp.release != nil {
-		return ComponentPlan{}, badPlan("algorithm %q cannot solve residual components with release times (component {%s})",
-			AlgoSP, idRange(cp.Tasks))
+	r, err := core.SelectRoute(rt.m, rt.algo, sh.Class, g.N(), rt.options(rel, nil))
+	if err != nil {
+		return ComponentPlan{}, badPlan("%v (component {%s})", err, idRange(c.Tasks))
 	}
-	if rt.degraded {
-		rt.degrade(c, &cp)
+	if r.Solver == "continuous-interior-point" {
+		r.Rationale += dedupeNote(g)
+	}
+	cp := ComponentPlan{Tasks: c.Tasks, Class: sh.Class, Route: r, shape: sh, release: rel}
+	if rt.degraded && r.Degradable {
+		rt.degrade(g, &cp)
 	}
 	return cp, nil
 }
 
-// degradable lists the solvers worth trading away under overload; the
-// closed forms and equivalent-weight algebra are already linear-time, so
-// degrading them would cost optimality for no relief.
-var degradable = map[string]bool{
-	"continuous-interior-point": true,
-	"discrete-bb":               true,
-	"discrete-sp-dp":            true,
-	"vdd-lp":                    true,
-	"incremental-approx":        true,
-}
-
-// degrade reroutes cp to the uniform-speed heuristic when the router is in
-// degraded mode and the planned solver is expensive. The bound comes from
-// the paper's critical-path relaxation: running everything at Σw/D uses
-// W·(Σw/D)²·1 = W³/D²·(W/W)… precisely E_uniform = W·(W_cp-normalized);
-// against OPT ≥ CPW³/D² (no schedule can beat the critical path run at its
-// slowest feasible uniform speed) the ratio is at most W/CPW for the
-// continuous model, times the (1+maxgap/smin)² rounding factor when speeds
-// must round up to a discrete set. Forced selectors are honored (the
-// caller asked for that algorithm) and residual components keep their
-// release-aware solvers (replans are correctness, not capacity).
-func (rt *Router) degrade(c core.Component, cp *ComponentPlan) {
-	if rt.algo != AlgoAuto || cp.release != nil || !degradable[cp.Solver] {
-		return
-	}
-	g := c.Prob.G
+// degrade reroutes a degradable component to the uniform-speed heuristic.
+// The bound comes from the paper's critical-path relaxation: no schedule
+// beats the critical path run at its slowest feasible uniform speed, so
+// OPT ≥ CPW³/D², while running everything at CPW/D costs W·CPW²/D² — a
+// ratio of at most W/CPW for the continuous model, times the
+// (1+maxgap/smin)² rounding factor when speeds must round up to a discrete
+// set.
+func (rt *Router) degrade(g *graph.Graph, cp *ComponentPlan) {
 	w := g.TotalWeight()
 	cpw, err := g.CriticalPathWeight()
 	if err != nil || cpw <= 0 || w <= 0 {
@@ -299,41 +239,6 @@ func (rt *Router) degrade(c core.Component, cp *ComponentPlan) {
 	cp.Degraded = true
 	cp.BoundFactor = factor
 	cp.Cost = float64(g.N())
-}
-
-// Classify recognizes the most specific structure class of g, checking the
-// cheap shapes first: chain, fork, join, tree, then series-parallel on the
-// transitive reduction, and general DAG when everything else fails.
-func Classify(g *graph.Graph) Class {
-	c, _ := classify(g)
-	return c
-}
-
-// classify is Classify plus the recognition by-products Execute reuses.
-// Chains, forks, and joins are trees, so their SP expression comes from the
-// (linear-time) tree conversion.
-func classify(g *graph.Graph) (Class, artifacts) {
-	if _, ok := g.IsChain(); ok {
-		e, _ := graph.TreeToSP(g)
-		return ClassChain, artifacts{expr: e}
-	}
-	if _, ok := g.IsFork(); ok {
-		e, _ := graph.TreeToSP(g)
-		return ClassFork, artifacts{expr: e}
-	}
-	if _, ok := g.IsJoin(); ok {
-		e, _ := graph.TreeToSP(g)
-		return ClassJoin, artifacts{expr: e}
-	}
-	if e, ok := graph.TreeToSP(g); ok {
-		return ClassTree, artifacts{expr: e}
-	}
-	if reduced, err := g.TransitiveReduction(); err == nil {
-		if e, ok := graph.DecomposeSP(reduced); ok {
-			return ClassSeriesParallel, artifacts{expr: e, reduced: reduced}
-		}
-	}
-	return ClassGeneralDAG, artifacts{}
 }
 
 // Analyze builds the solve plan for p under m: validate the model/algorithm
@@ -394,145 +299,6 @@ func dedupeNote(g *graph.Graph) string {
 		return fmt.Sprintf("; %d precedence rows exceed 2·n — transitively implied rows are deduped before assembly", g.M())
 	}
 	return ""
-}
-
-// route picks the solver for one classified component. rel carries the
-// component-local release times of a residual plan (nil = none): releases
-// invalidate the closed forms and the SP Pareto DP, so those components go
-// to the general release-aware solvers instead. sc, when non-nil, serves
-// the classification from the structure cache.
-func route(c core.Component, m model.Model, algo string, k int, dopts core.DiscreteOptions, rel []float64, sc *StructureCache) ComponentPlan {
-	g := c.Prob.G
-	var class Class
-	var art artifacts
-	if sc != nil {
-		class, art = sc.classify(g)
-	} else {
-		class, art = classify(g)
-	}
-	cp := ComponentPlan{
-		Tasks:       c.Tasks,
-		Class:       class,
-		BoundFactor: 1,
-		art:         art,
-		release:     rel,
-	}
-	n := float64(g.N())
-	nm := float64(len(m.Modes))
-
-	// Forced selectors apply uniformly; auto routes by class.
-	switch algo {
-	case AlgoBB:
-		cp.Solver = "discrete-bb"
-		cp.Rationale = "forced: exact branch-and-bound over per-task modes (Theorem 4)"
-		cp.Cost = bbCost(n, nm, dopts)
-		return cp
-	case AlgoSP:
-		cp.Solver = "discrete-sp-dp"
-		cp.Rationale = "forced: exact Pareto dynamic program on the series-parallel decomposition"
-		cp.Cost = n * nm * 64
-		return cp
-	case AlgoGreedy:
-		cp.Solver = "discrete-greedy"
-		cp.Rationale = "forced: greedy slack-reclaiming heuristic (no a-priori guarantee)"
-		cp.BoundFactor = math.Inf(1)
-		cp.Cost = n * n * nm
-		return cp
-	case AlgoRoundUp:
-		cp.Solver = "discrete-roundup"
-		cp.Rationale = "forced: continuous relaxation rounded up per task (Proposition 1)"
-		cp.BoundFactor = core.Proposition1ContinuousBound(m)
-		cp.Cost = n * n * n
-		return cp
-	case AlgoApprox:
-		if m.Kind == model.Incremental {
-			cp.Solver = "incremental-approx"
-			cp.Rationale = fmt.Sprintf("forced: Theorem 5 speed-bounded relaxation + rounding, K=%d", k)
-		} else {
-			cp.Solver = "discrete-approx"
-			cp.Rationale = fmt.Sprintf("forced: Proposition 1 relaxation + rounding to the mode set, K=%d", k)
-		}
-		cp.BoundFactor = approxBound(m, k)
-		cp.Cost = n * n * n
-		return cp
-	}
-
-	switch m.Kind {
-	case model.Continuous:
-		if rel != nil {
-			cp.Solver = "continuous-interior-point"
-			cp.Rationale = "residual component with release times: log-barrier geometric program with tᵢ−dᵢ ≥ rᵢ rows" + dedupeNote(g)
-			cp.Cost = n * n * n
-			break
-		}
-		switch cp.Class {
-		case ClassChain:
-			cp.Solver = "chain-closed-form"
-			cp.Rationale = "Theorem 1: every chain task runs at Σw/D"
-			cp.Cost = n
-		case ClassFork:
-			cp.Solver = "fork-closed-form"
-			cp.Rationale = "Theorem 1: s₀ = ((Σwᵢ³)^⅓ + w₀)/D with the saturated branch when smax binds"
-			cp.Cost = n
-		case ClassJoin, ClassTree:
-			cp.Solver = "tree-equivalent-weight"
-			cp.Rationale = "Theorem 2: equivalent-weight algebra on the tree's SP expression; interior point if smax binds"
-			cp.Cost = n
-		case ClassSeriesParallel:
-			cp.Solver = "sp-equivalent-weight"
-			cp.Rationale = "Theorem 2: series/parallel weight composition W³/D²; interior point if smax binds"
-			cp.Cost = n
-		default:
-			cp.Solver = "continuous-interior-point"
-			cp.Rationale = "general DAG: log-barrier geometric program (Section 2.1)" + dedupeNote(g)
-			cp.Cost = n * n * n
-		}
-	case model.VddHopping:
-		cp.Solver = "vdd-lp"
-		cp.Rationale = "Theorem 3: exact linear program, speeds hop between neighboring modes"
-		if rel != nil {
-			cp.Rationale = "Theorem 3 linear program with residual release rows tᵢ − Σαᵢⱼ ≥ rᵢ"
-		}
-		cp.Cost = (n * nm) * (n * nm)
-	case model.Discrete:
-		if cp.Class == ClassGeneralDAG || rel != nil {
-			cp.Solver = "discrete-bb"
-			cp.Rationale = "NP-complete in general (Theorem 4): exact branch-and-bound with greedy incumbent"
-			if rel != nil {
-				cp.Rationale = "residual component with release times: exact branch-and-bound on release-aware makespans (Theorem 4)"
-			}
-			cp.Cost = bbCost(n, nm, dopts)
-		} else {
-			cp.Solver = "discrete-sp-dp"
-			cp.Rationale = fmt.Sprintf("%s is series-parallel: exact Pareto dynamic program; branch-and-bound if the frontier budget is hit", cp.Class)
-			cp.Cost = n * nm * 64
-		}
-	case model.Incremental:
-		cp.Solver = "incremental-approx"
-		cp.Rationale = fmt.Sprintf("Theorem 5: NP-complete exactly, (1+δ/smin)²(1+1/K)²-approximable in polynomial time, K=%d", k)
-		cp.BoundFactor = approxBound(m, k)
-		cp.Cost = n * n * n
-	}
-	return cp
-}
-
-// bbCost estimates branch-and-bound work: the mode^task tree capped by the
-// node budget.
-func bbCost(n, nm float64, dopts core.DiscreteOptions) float64 {
-	budget := 4e6
-	if dopts.MaxNodes > 0 {
-		budget = float64(dopts.MaxNodes)
-	}
-	return math.Min(math.Pow(math.Max(nm, 2), n), budget)
-}
-
-// approxBound is the a-priori factor of the rounding approximation for the
-// model at hand.
-func approxBound(m model.Model, k int) float64 {
-	if m.Kind == model.Incremental {
-		return core.Theorem5Bound(m, k)
-	}
-	return core.Proposition1DiscreteBound(m, k)
 }
 
 // NumTasks returns the instance size the plan covers.

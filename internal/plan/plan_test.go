@@ -80,7 +80,7 @@ func TestClassify(t *testing.T) {
 		{"N graph", nGraph(), ClassGeneralDAG},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.g); got != tc.want {
+		if got := core.Classify(tc.g).Class; got != tc.want {
 			t.Errorf("%s: Classify = %s, want %s", tc.name, got, tc.want)
 		}
 	}
@@ -93,11 +93,11 @@ func TestClassify(t *testing.T) {
 	tree.MustAddEdge(1, 3)
 	tree.MustAddEdge(1, 4)
 	tree.MustAddEdge(2, 5)
-	if got := Classify(tree); got != ClassTree {
+	if got := core.Classify(tree).Class; got != ClassTree {
 		t.Errorf("out-tree: Classify = %s, want %s", got, ClassTree)
 	}
 	// Random SP graphs classify as series-parallel or one of its subclasses.
-	if got := Classify(spG); got == ClassGeneralDAG {
+	if got := core.Classify(spG).Class; got == ClassGeneralDAG {
 		t.Errorf("random SP instance classified as %s", got)
 	}
 }

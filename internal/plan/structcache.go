@@ -10,7 +10,7 @@ import (
 
 // StructureCache is the planner's half of the structure-keyed amortization
 // layer: a bounded LRU from a component graph's structural fingerprint to
-// its classification artifacts — the recognized Class, the series-parallel
+// its core.Shape — the recognized Class, the series-parallel
 // expression (pure task-ID structure, shared as-is), and the transitive
 // reduction (whose weights are stale by construction, so every hit
 // re-clothes it in the requesting graph's current weights via
@@ -25,17 +25,11 @@ import (
 // for its whole lifetime even under cache pressure from unrelated
 // traffic. Pins cover classification entries only, not compiled kernels.
 type StructureCache struct {
-	lru     *lru.Cache[[32]byte, structEntry]
+	lru     *lru.Cache[[32]byte, core.Shape]
 	kernels *core.KernelCache
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-}
-
-type structEntry struct {
-	class   Class
-	expr    *graph.SPExpr
-	reduced *graph.Graph // reduction structure; weights are stale, never read
 }
 
 // NewStructureCache returns a cache holding up to cap structure entries
@@ -44,7 +38,7 @@ type structEntry struct {
 func NewStructureCache(cap int) *StructureCache {
 	cap = max(cap, 1)
 	return &StructureCache{
-		lru:     lru.New[[32]byte, structEntry](cap),
+		lru:     lru.New[[32]byte, core.Shape](cap),
 		kernels: core.NewKernelCache(cap),
 	}
 }
@@ -54,26 +48,25 @@ func NewStructureCache(cap int) *StructureCache {
 // ContinuousOptions.Kernels.
 func (sc *StructureCache) Kernels() *core.KernelCache { return sc.kernels }
 
-// classify returns g's classification, consulting the cache first. On a
-// hit the O(n²·m) recognition is skipped entirely; the cached reduction
-// is cloned with g's current weights because downstream solvers read
-// weights off that graph. On a miss the classification runs and the
-// structural artifacts are inserted (a concurrent insert of the same key
+// classify returns g's core.Shape, consulting the cache first. On a hit
+// the O(n²·m) recognition is skipped entirely; the cached reduction (whose
+// weights are stale) is cloned with g's current weights because
+// downstream solvers read weights off that graph. On a miss the
+// classification runs and is inserted (a concurrent insert of the same key
 // wins and the duplicate is dropped).
-func (sc *StructureCache) classify(g *graph.Graph) (Class, artifacts) {
+func (sc *StructureCache) classify(g *graph.Graph) core.Shape {
 	key := g.StructuralFingerprint()
-	if e, ok := sc.lru.Get(key); ok {
+	if sh, ok := sc.lru.Get(key); ok {
 		sc.hits.Add(1)
-		art := artifacts{expr: e.expr}
-		if e.reduced != nil {
-			art.reduced = e.reduced.CloneWithWeights(g.Weights())
+		if sh.Reduced != nil {
+			sh.Reduced = sh.Reduced.CloneWithWeights(g.Weights())
 		}
-		return e.class, art
+		return sh
 	}
 	sc.misses.Add(1)
-	class, art := classify(g)
-	sc.lru.LoadOrAdd(key, structEntry{class: class, expr: art.expr, reduced: art.reduced})
-	return class, art
+	sh := core.Classify(g)
+	sc.lru.LoadOrAdd(key, sh)
+	return sh
 }
 
 // Pin marks the structure key as in use: pinned keys survive eviction.

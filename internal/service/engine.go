@@ -653,9 +653,6 @@ func (e *Engine) Explain(ctx context.Context, req *SolveRequest) (*PlanResponse,
 	}, nil
 }
 
-// CachePurge empties the instance cache (administrative; tests).
-func (e *Engine) CachePurge() { e.cache.Purge() }
-
 // ErrInfeasible re-exports the solver sentinel so transport layers can
 // classify without importing core.
 var ErrInfeasible = core.ErrInfeasible

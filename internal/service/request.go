@@ -82,8 +82,8 @@ func (s ModelSpec) Build() (model.Model, error) {
 }
 
 // Algorithm names accepted in SolveRequest.Algorithm. Empty means "auto".
-// The definitions live in internal/plan, the routing layer that interprets
-// them.
+// The definitions live in internal/core, whose routing table
+// (core.SelectRoute) interprets them.
 const (
 	AlgoAuto    = plan.AlgoAuto    // cheapest exact method for the model
 	AlgoBB      = plan.AlgoBB      // discrete branch-and-bound (exact)

@@ -18,7 +18,7 @@
 //
 //   - Continuous: any speed in (0, smax]. Closed forms for chains and forks
 //     (Theorem 1), a linear-time equivalent-weight algebra for trees and
-//     series-parallel graphs (Theorem 2), and a log-barrier interior-point
+//     series-parallel graphs (Theorem 2), and a primal-dual interior-point
 //     solver for the geometric program on arbitrary DAGs.
 //   - Vdd-Hopping: a fixed mode set, switchable mid-task. Solved exactly by
 //     linear programming (Theorem 3).
@@ -83,31 +83,33 @@
 // # Sparse interior-point kernel
 //
 // General DAGs — every structure the closed forms and the SP algebra
-// cannot take — land in the log-barrier interior point, and that kernel
-// is graph-structured end to end. Each constraint row of MinEnergy(G, D)
-// has at most three nonzeros, so the Newton system t·∇²f + AᵀS⁻²A has
-// exactly the sparsity of the execution graph: the solvers emit
-// constraints in compressed-sparse-row form, the barrier method
-// assembles the Hessian directly in sparse form through scatter maps
-// precomputed at setup, and a sparse LDLᵀ under a fill-reducing
-// ordering factors it with the symbolic analysis (elimination tree,
-// column counts) computed once and reused across all Newton iterations.
-// Two orderings compete at compile time — reverse Cuthill–McKee and
-// graph-bisection nested dissection — and the kernel keeps whichever
-// predicts less symbolic fill for the instance at hand. With
-// ContinuousOptions.Workers > 1 the numeric factorization runs
-// independent elimination-tree subtrees concurrently and stays
-// bit-identical to the sequential result. One Newton step costs
-// O(nnz(L)) instead of the dense path's O(m·n²) assembly plus O(n³)
-// Cholesky, and performs zero heap allocations sequentially or in
-// parallel (workspaces for gradient, slack, direction, and line-search
-// trials are preallocated; a regression test pins the inner loop at 0
-// allocs/op). The dense kernel remains available behind
+// cannot take — land in a Mehrotra predictor-corrector primal-dual
+// interior point, and that kernel is graph-structured end to end. Each
+// constraint row of MinEnergy(G, D) has at most three nonzeros, so the
+// Newton matrix ∇²f + Aᵀdiag(λ/s)A has exactly the sparsity of the
+// execution graph: the solvers emit constraints in compressed-sparse-row
+// form, the kernel assembles the matrix directly in sparse form through
+// scatter maps precomputed at setup, and a sparse LDLᵀ under a
+// fill-reducing ordering factors it with the symbolic analysis
+// (elimination tree, column counts) computed once and reused across all
+// iterations. Each iteration factors once and solves twice (predictor and
+// corrector); a few dozen iterations reach the duality gap the log-barrier
+// method needed hundreds of Newton steps for. Two orderings compete at
+// compile time — reverse Cuthill–McKee and graph-bisection nested
+// dissection — and the kernel keeps whichever predicts less symbolic fill
+// for the instance at hand. With ContinuousOptions.Workers > 1 the
+// numeric factorization runs independent elimination-tree subtrees
+// concurrently and stays bit-identical to the sequential result. One
+// iteration costs O(nnz(L)) instead of the dense path's O(m·n²) assembly
+// plus O(n³) Cholesky, and performs zero heap allocations sequentially or
+// in parallel (the iterate, slack, multiplier and direction vectors are
+// preallocated; a regression test pins the iteration at 0 allocs/op). The
+// dense log-barrier method remains available behind
 // ContinuousOptions{DenseKernel: true} as the reference oracle the
 // property suite checks the sparse path against (equal to 1e-9 across
 // all workload families and solve-option variants). In practice this
 // moves the interior point from topping out around 256 tasks to solving
-// 2048-task instances in about a second.
+// 2048-task instances in a tenth of a second.
 //
 // # Serving layer
 //

@@ -273,3 +273,21 @@ func TestRunRecordsMemoryMetrics(t *testing.T) {
 		t.Fatalf("memory metrics missing: allocs %d, bytes %d", res.AllocsPerOp, res.BytesPerOp)
 	}
 }
+
+// TestPercentileNearestRank pins the one percentile definition of
+// energybench/v1: nearest rank, so every percentile is a measured sample
+// and, over the default five repetitions, P50 is the median and P90 the
+// slowest repetition.
+func TestPercentileNearestRank(t *testing.T) {
+	reps := []float64{1, 2, 3, 4, 5}
+	for _, c := range []struct{ q, want float64 }{
+		{0.2, 1}, {0.21, 2}, {0.5, 3}, {0.9, 5}, {0.99, 5}, {1, 5},
+	} {
+		if got := Percentile(reps, c.q); got != c.want {
+			t.Errorf("Percentile(%v, %g) = %g, want %g", reps, c.q, got, c.want)
+		}
+	}
+	if got := Percentile(nil, 0.5); got != 0 {
+		t.Errorf("Percentile of no samples = %g, want 0", got)
+	}
+}

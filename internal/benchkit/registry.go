@@ -115,7 +115,7 @@ func Registry() []Scenario {
 		// POST /v1/solve (the client sees nothing until the whole union is
 		// solved), the stream timed to its first merged component, and the
 		// stream timed to its terminal result. 32 interior-point components
-		// solved by one plan worker make the monolithic barrier the sum of
+		// solved by one plan worker make the monolithic answer the sum of
 		// all solves while the first component streams out after just one —
 		// stream-first landing far inside the monolithic time is the
 		// streaming API's reason to exist; stream-last vs service-mono

@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"runtime"
 	"sort"
@@ -98,8 +99,8 @@ func Run(s Scenario, opts Options) (*Result, error) {
 		Reps:     reps,
 		Energy:   energy,
 		MinMS:    samples[0],
-		P50MS:    percentile(samples, 50),
-		P90MS:    percentile(samples, 90),
+		P50MS:    Percentile(samples, 0.50),
+		P90MS:    Percentile(samples, 0.90),
 		MaxMS:    samples[len(samples)-1],
 		MeanMS:   mean(samples),
 
@@ -195,18 +196,18 @@ func selector(pattern, tier string, families []string) (func(name, tier, family 
 	}, nil
 }
 
-// percentile interpolates the p-th percentile of sorted samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+// Percentile reads the q-quantile (0 < q ≤ 1) of an ascending slice by
+// nearest rank: the smallest sample with at least a q share of the samples
+// at or below it, so every reported percentile is a measured sample. It
+// is the one percentile definition of energybench/v1: benchkit's
+// repetitions and loadgen's request latencies both use it. Zero for an
+// empty slice.
+func Percentile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 func mean(samples []float64) float64 {

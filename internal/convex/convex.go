@@ -1,5 +1,5 @@
-// Package convex implements a log-barrier interior-point method for smooth
-// convex programs with linear inequality constraints:
+// Package convex implements interior-point methods for smooth convex
+// programs with linear inequality constraints:
 //
 //	minimize    f(x)
 //	subject to  A·x ≤ b,
@@ -10,12 +10,13 @@
 // in the (completion-time, duration) variables, becomes exactly the shape
 // above with f(d) = Σ wᵢ³/dᵢ².
 //
-// Two code paths share the same path-following scheme. SparseMinimize
-// (sparse.go) is the production kernel: constraints arrive in CSR form,
-// the Newton system is assembled and factored in sparse form with a
-// cached symbolic LDLᵀ, and the inner loop allocates nothing. Minimize
-// below is the dense reference oracle the property suite checks the
-// sparse path against.
+// Two code paths solve the same program. SparseMinimize (sparse.go) is
+// the production kernel: a Mehrotra predictor-corrector primal-dual
+// interior point whose constraints arrive in CSR form, whose Newton
+// matrix is assembled and factored in sparse form with a cached symbolic
+// LDLᵀ, and whose iterations allocate nothing. Minimize below is the
+// dense log-barrier method, kept as the reference oracle the property
+// suite checks the sparse path against.
 package convex
 
 import (
@@ -47,32 +48,42 @@ const (
 	OrderND   = linalg.OrderND
 )
 
-// Options tunes the barrier method.
+// Options tunes both interior-point methods. Tol, T0 and AutoT0 steer
+// both; Mu, MaxOuter and MaxNewton tune the dense barrier oracle only;
+// Workers and Ordering tune the sparse kernel only.
 type Options struct {
-	// Tol is the duality-gap tolerance m/t at which the outer loop stops.
-	// Zero means 1e-9.
+	// Tol is the duality-gap tolerance. The dense barrier stops once its
+	// gap m/t falls below Tol; the sparse kernel stops once sᵀλ ≤ Tol/100
+	// (or the mean sᵢλᵢ reaches its roundoff floor, which only systems
+	// with tens of thousands of rows meet first) and
+	// ‖∇f + Aᵀλ‖∞ ≤ (Tol/100)·(1 + ‖∇f‖∞). Zero means 1e-9.
 	Tol float64
-	// MaxNewton bounds Newton iterations per centering step. Zero means 60.
+	// MaxNewton bounds the dense barrier's Newton iterations per
+	// centering step. Zero means 60. The sparse kernel caps its
+	// primal-dual iterations with a fixed constant instead and fails with
+	// ErrNumerical when it runs out.
 	MaxNewton int
-	// MaxOuter bounds barrier (centering) stages. Zero means 80.
+	// MaxOuter bounds the dense barrier's centering stages. Zero means 80.
 	MaxOuter int
-	// Mu is the barrier growth factor. Zero means 12.
+	// Mu is the dense barrier's growth factor. Zero means 12.
 	Mu float64
-	// T0 is the initial barrier weight. Zero means 1.
+	// T0 is the initial barrier weight. Zero means 1. The sparse kernel
+	// starts its multipliers at λ = μ₀/s with μ₀ = 1/T0.
 	T0 float64
 	// AutoT0 estimates the initial barrier weight from the least-squares
 	// centrality of x0 — the t for which x0 best matches a central point,
 	// t* = −⟨∇f,∇φ⟩/⟨∇f,∇f⟩ — instead of starting at 1. Warm starts
-	// near the optimum then skip most outer stages; at a generic cold
+	// near the optimum then skip most of the path; at a generic cold
 	// start the estimate is small and clamps back to 1, leaving the path
-	// unchanged. An explicit nonzero T0 wins over the estimate.
+	// unchanged. The sparse kernel starts at μ₀ = min(1, 10/t*). An
+	// explicit nonzero T0 wins over the estimate.
 	AutoT0 bool
 	// Workers caps the parallelism of the sparse kernel (factorization,
-	// constraint assembly, mat-vec and barrier loops). 0 selects
-	// automatically: GOMAXPROCS capped at 8, and only for systems with at
-	// least sparseParallelMinVars variables — smaller systems stay on the
-	// exact sequential path. 1 or negative forces sequential. The dense
-	// path ignores it.
+	// Hessian assembly and mat-vec loops). 0 selects automatically:
+	// GOMAXPROCS capped at 8, and only for systems with at least
+	// sparseParallelMinVars variables — smaller systems stay on the exact
+	// sequential path. 1 or negative forces sequential. The dense path
+	// ignores it.
 	Workers int
 	// Ordering forces the sparse kernel's fill-reducing ordering;
 	// OrderAuto (zero) picks the cheaper of RCM and nested dissection by
@@ -80,13 +91,20 @@ type Options struct {
 	Ordering Ordering
 }
 
-// Result reports the outcome of Minimize.
+// Result reports the outcome of Minimize or SparseMinimize.
 type Result struct {
-	X           linalg.Vector
-	Value       float64
-	Newton      int // total Newton iterations
+	X     linalg.Vector
+	Value float64
+	// Newton counts Newton iterations: all centering steps of the dense
+	// barrier, or the primal-dual iterations of the sparse kernel (one
+	// factorization each).
+	Newton int
+	// OuterStages counts the dense barrier's centering stages; the
+	// sparse kernel has none and leaves it zero.
 	OuterStages int
-	GapBound    float64 // final m/t upper bound on suboptimality of the barrier path
+	// GapBound bounds the suboptimality of X: the final m/t of the dense
+	// barrier, or the final complementarity sᵀλ of the sparse kernel.
+	GapBound float64
 }
 
 // Errors returned by Minimize.

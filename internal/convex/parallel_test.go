@@ -106,8 +106,8 @@ func TestAutoT0WarmStart(t *testing.T) {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
 		// Restart from just inside the solution: AutoT0 should detect the
-		// near-central point, start at a large t, and spend far fewer
-		// outer stages while matching the cold optimum.
+		// near-central point, start at a small gap, and spend fewer
+		// iterations while matching the cold optimum.
 		// The optimum pushes x up against Σx ≤ D; shrink slightly to step
 		// strictly inside.
 		warmX := cold.X.Clone()
@@ -121,9 +121,9 @@ func TestAutoT0WarmStart(t *testing.T) {
 		if math.Abs(warm.Value-cold.Value) > 1e-7*(1+math.Abs(cold.Value)) {
 			t.Fatalf("trial %d: warm value %.15g vs cold %.15g", trial, warm.Value, cold.Value)
 		}
-		if warm.OuterStages >= cold.OuterStages {
-			t.Fatalf("trial %d: AutoT0 warm restart took %d outer stages, cold took %d",
-				trial, warm.OuterStages, cold.OuterStages)
+		if warm.Newton >= cold.Newton {
+			t.Fatalf("trial %d: AutoT0 warm restart took %d iterations, cold took %d",
+				trial, warm.Newton, cold.Newton)
 		}
 		// The dense oracle honors the same option.
 		dwarm, err := Minimize(f, da, b, warmX, Options{AutoT0: true})

@@ -5,31 +5,40 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/linalg"
 )
 
-// The sparse code path of the barrier method. Every constraint row of
-// MinEnergy(G, D) — precedence tᵤ + d_v ≤ t_v, start d ≤ t, deadline
-// t ≤ D, speed bounds on d — has at most three nonzeros, and the energy
-// objective Σ wᵢ³/dᵢ² is separable, so the Newton system
+// The sparse code path: a Mehrotra predictor-corrector primal-dual
+// interior point. With slacks s ≥ 0 and multipliers λ ≥ 0 it drives
 //
-//	(t·∇²f + AᵀS⁻²A) Δx = −g
+//	r_d = ∇f + Aᵀλ,   r_p = A·x + s − b,   s∘λ
+//
+// to zero, carrying s as its own variable so that tiny slacks survive
+// roundoff (r_p only holds that drift, and each step pulls it back).
+// Every constraint row of MinEnergy(G, D) — precedence tᵤ + d_v ≤ t_v,
+// start d ≤ t, deadline t ≤ D, speed bounds on d — has at most three
+// nonzeros, and the energy objective Σ wᵢ³/dᵢ² is separable, so the
+// Newton matrix
+//
+//	H = ∇²f + Aᵀdiag(λ/s)A
 //
 // has exactly the sparsity of the execution graph. SparseMinimize
-// assembles it directly in sparse form through precomputed scatter maps
-// and factors it with the cached-symbolic LDLᵀ of internal/linalg: one
-// Newton iteration costs O(nnz(L)) and performs zero heap allocations,
-// against the dense path's O(m·n²) assembly and O(n³) factorization.
+// assembles it directly in sparse form through precomputed scatter maps,
+// factors it once per iteration with the cached-symbolic LDLᵀ of
+// internal/linalg, and solves twice against that factor (the affine
+// predictor, then the centred corrector). An iteration costs O(nnz(L))
+// and performs zero heap allocations, against the dense oracle's O(m·n²)
+// assembly and O(n³) factorization.
 //
-// With Options.Workers > 1 the per-iteration loops also run sharded on
-// the shared linalg pool: the constraint mat-vecs (slack, A·dir) split
-// by row range and stay bitwise identical to the sequential loop (rows
-// are independent), and the gradient/Hessian assembly accumulates into
-// per-worker partials reduced in fixed worker order — deterministic for
-// a fixed worker count. All per-worker workspaces are allocated once at
-// setup, preserving the zero-allocation steady state.
+// With Options.Workers > 1 the Hessian assembly and the constraint
+// mat-vecs (A·x, A·Δx) run sharded on the shared linalg pool: mat-vecs
+// split by row range and stay bitwise identical to the sequential loop
+// (rows are independent), and the Hessian accumulates into per-worker
+// partials reduced in fixed worker order — deterministic for a fixed
+// worker count. The Aᵀv products stay sequential. All per-worker
+// workspaces are allocated once at setup, preserving the zero-allocation
+// steady state.
 
 // DiagObjective is a twice-differentiable convex function with a
 // diagonal Hessian — the separable objectives of the energy programs.
@@ -49,10 +58,28 @@ const (
 	sparseParallelMinVars = 2048
 	// sparseParallelMaxWorkers caps automatic worker selection.
 	sparseParallelMaxWorkers = 8
-	// barrierParallelMinRows is the constraint count below which the
-	// line-search barrier evaluation stays sequential even when workers
-	// are available.
-	barrierParallelMinRows = 4096
+
+	// pdMaxIter caps primal-dual iterations; a solve still short of the
+	// stopping tests then fails with ErrNumerical.
+	pdMaxIter = 300
+	// pdStepFrac is the fraction of the distance to the boundary of
+	// s, λ ≥ 0 that one step covers.
+	pdStepFrac = 0.99
+	// The step-back shrinks the step by pdStepBack until every sᵢλᵢ is
+	// at least pdCentral times the new mean μ.
+	pdCentral  = 1e-3
+	pdStepBack = 0.9
+	// While ‖r_d‖∞ exceeds pdDualLag·μ a step only re-centres (σ = 1):
+	// the gap must not close ahead of dual feasibility, because the
+	// roundoff in λ's update grows like λ/s as μ shrinks and on degenerate
+	// instances would pin r_d above the stopping test.
+	pdDualLag = 100
+	// pdTolScale divides Options.Tol for both stopping tests.
+	pdTolScale = 100
+	// The gap test also passes once μ ≤ pdMuFloor·(1 + ‖λ‖∞): below that
+	// the active slacks sit under the roundoff of A·x, so on systems with
+	// tens of thousands of rows sᵀλ ≤ Tol/100 is out of reach.
+	pdMuFloor = 0x1p-52
 )
 
 // resolveWorkers maps Options.Workers to an effective worker count for a
@@ -78,14 +105,15 @@ func resolveWorkers(opts Options, n int) int {
 }
 
 // SparseProgram is the compiled, structure-determined part of a sparse
-// barrier solve: the Hessian pattern, fill-reducing ordering, symbolic
-// factorization, scatter maps, and row-shard boundaries for the
-// constraint system A·x ≤ b. It is bound to one constraint matrix A
-// (pattern and values) and one worker count, both fixed at CompileSparse;
-// the objective f, right-hand side b, and start point vary per Minimize.
+// interior-point solve: the Newton-matrix pattern, fill-reducing
+// ordering, symbolic factorization, scatter maps, and row-shard
+// boundaries for the constraint system A·x ≤ b. It is bound to one
+// constraint matrix A (pattern and values) and one worker count, both
+// fixed at CompileSparse; the objective f, right-hand side b, and start
+// point vary per Minimize.
 //
 // A program is safe for concurrent use: Minimize borrows a pooled
-// per-solve workspace (numeric factor + Newton vectors) per call, so N
+// per-solve workspace (numeric factor + iteration vectors) per call, so N
 // goroutines can solve against one shared compile. Structure-keyed
 // caches store this object to amortize the one-time work across requests
 // that share a sparsity pattern.
@@ -98,8 +126,8 @@ type SparseProgram struct {
 	sym *linalg.SymProgram
 
 	// Scatter maps, fixed at compile: constraint row i contributes
-	// w·pairProd[k] to h.Val[pairSlot[k]] for k in [pairPtr[i],
-	// pairPtr[i+1]), with w = 1/sᵢ². diagSlot[j] addresses H[j,j] for
+	// wᵢ·pairProd[k] to h.Val[pairSlot[k]] for k in [pairPtr[i],
+	// pairPtr[i+1]), with wᵢ = λᵢ/sᵢ. diagSlot[j] addresses H[j,j] for
 	// the objective's diagonal.
 	pairPtr  []int
 	pairSlot []int32
@@ -107,7 +135,7 @@ type SparseProgram struct {
 	diagSlot []int32
 
 	// rowPtr holds the fixed row-shard boundaries (len workers+1) when
-	// workers > 1 and the system has constraints; nil otherwise.
+	// workers > 1; nil otherwise.
 	rowPtr []int
 
 	// pool recycles per-solve workspaces across Minimize calls.
@@ -115,7 +143,7 @@ type SparseProgram struct {
 }
 
 // sparseSolver is one solve's workspace over a compiled SparseProgram:
-// the numeric factor plus every vector the Newton loop needs, so
+// the numeric factor plus every vector the iteration needs, so
 // iterations allocate nothing. The structural fields (a, scatter maps,
 // shard boundaries) alias the program and are read-only; f and b are set
 // per solve.
@@ -127,82 +155,74 @@ type sparseSolver struct {
 	m int // constraints
 
 	h *linalg.SparseSym
-	// Scatter maps, fixed at setup: constraint row i contributes
-	// w·pairProd[k] to h.Val[pairSlot[k]] for k in [pairPtr[i],
-	// pairPtr[i+1]), with w = 1/sᵢ². diagSlot[j] addresses H[j,j] for
-	// the objective's diagonal.
+	// Scatter maps; see SparseProgram.
 	pairPtr  []int
 	pairSlot []int32
 	pairProd []float64
 	diagSlot []int32
 
-	// Workspaces.
-	grad  linalg.Vector
-	hdiag linalg.Vector
-	dir   linalg.Vector
-	rhs   linalg.Vector
-	slack linalg.Vector
-	adir  linalg.Vector
-	trial linalg.Vector
+	// Iterate and workspaces. The step weights w = λ/s are computed on
+	// the fly wherever they are needed.
+	grad  linalg.Vector // ∇f(x)
+	hdiag linalg.Vector // diagonal of ∇²f(x)
+	dir   linalg.Vector // Δx
+	rhs   linalg.Vector // Newton right-hand side; r_d at the stopping test
+	slack linalg.Vector // s
+	lam   linalg.Vector // λ
+	ds    linalg.Vector // Δs (predictor, then corrector); A·Δx mid-solve
+	dlam  linalg.Vector // Δλ (predictor, then corrector)
+	v     linalg.Vector // per-row right-hand side c + w∘r_p (c = 0 in the predictor)
+	rp    linalg.Vector // r_p
+	// cut records that the previous step-back cut its step below half,
+	// which floors the next centering weight.
+	cut bool
 
 	// Parallel state (workers > 1); see the package comment. rowPtr holds
-	// the fixed row-shard boundaries (len workers+1). The mv/asm/bar task
-	// lists and their closures are created once at setup; per-call inputs
-	// travel through the cur* fields set before RunTasks.
+	// the fixed row-shard boundaries (len workers+1). The mv/asm task
+	// lists and their closures are created once at setup; the mat-vec's
+	// operands travel through mvX/mvDst set before RunTasks.
 	workers  int
 	rowPtr   []int
-	gradW    []linalg.Vector // per-worker gradient partials
-	hvW      [][]float64     // per-worker Hessian value partials
-	phiW     []float64       // per-worker barrier partial sums
+	hvW      [][]float64 // per-worker Hessian value partials
 	mvTasks  []*linalg.PoolTask
 	asmTasks []*linalg.PoolTask
-	barTasks []*linalg.PoolTask
 	wg       sync.WaitGroup
 	mvX      linalg.Vector // mat-vec input
 	mvDst    linalg.Vector // mat-vec output
-	mvSub    bool          // true: dst = b − A·x, false: dst = A·x
-	curT     float64       // barrier weight for the assembly/barrier tasks
-	curStep  float64       // line-search step for the barrier tasks
-	fail     atomic.Bool
 }
 
 // CompileSparse runs the one-time structural work for the constraint
-// system A·x ≤ b with n variables: Hessian pattern, fill-reducing
+// system A·x ≤ b with n variables: Newton-matrix pattern, fill-reducing
 // ordering, symbolic factorization, scatter maps, and shard boundaries.
-// a may be nil (unconstrained Newton). Only opts.Ordering and
-// opts.Workers participate — the worker count is baked into the program
-// and later Minimize calls inherit it.
+// a must be non-nil; Minimize rejects a program without constraint rows.
+// Only opts.Ordering and opts.Workers participate — the worker count is
+// baked into the program and later Minimize calls inherit it.
 func CompileSparse(a *linalg.CSR, n int, opts Options) *SparseProgram {
-	pr := &SparseProgram{a: a, n: n, workers: resolveWorkers(opts, n)}
+	pr := &SparseProgram{a: a, n: n, m: a.Rows, workers: resolveWorkers(opts, n)}
 	sb := linalg.NewSymBuilder(n)
-	if a != nil {
-		pr.m = a.Rows
-		for i := 0; i < a.Rows; i++ {
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				for q := p; q < a.RowPtr[i+1]; q++ {
-					sb.Add(a.Col[p], a.Col[q])
-				}
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			for q := p; q < a.RowPtr[i+1]; q++ {
+				sb.Add(a.Col[p], a.Col[q])
 			}
 		}
 	}
 	pr.sym = sb.CompileProgram(linalg.CompileOptions{Ordering: opts.Ordering, Workers: pr.workers})
 
-	if a != nil {
-		pr.pairPtr = make([]int, a.Rows+1)
-		for i := 0; i < a.Rows; i++ {
-			nz := a.RowPtr[i+1] - a.RowPtr[i]
-			pr.pairPtr[i+1] = pr.pairPtr[i] + nz*(nz+1)/2
-		}
-		pr.pairSlot = make([]int32, pr.pairPtr[a.Rows])
-		pr.pairProd = make([]float64, pr.pairPtr[a.Rows])
-		k := 0
-		for i := 0; i < a.Rows; i++ {
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				for q := p; q < a.RowPtr[i+1]; q++ {
-					pr.pairSlot[k] = int32(pr.sym.Slot(a.Col[p], a.Col[q]))
-					pr.pairProd[k] = a.Val[p] * a.Val[q]
-					k++
-				}
+	pr.pairPtr = make([]int, a.Rows+1)
+	for i := 0; i < a.Rows; i++ {
+		nz := a.RowPtr[i+1] - a.RowPtr[i]
+		pr.pairPtr[i+1] = pr.pairPtr[i] + nz*(nz+1)/2
+	}
+	pr.pairSlot = make([]int32, pr.pairPtr[a.Rows])
+	pr.pairProd = make([]float64, pr.pairPtr[a.Rows])
+	k := 0
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			for q := p; q < a.RowPtr[i+1]; q++ {
+				pr.pairSlot[k] = int32(pr.sym.Slot(a.Col[p], a.Col[q]))
+				pr.pairProd[k] = a.Val[p] * a.Val[q]
+				k++
 			}
 		}
 	}
@@ -210,7 +230,7 @@ func CompileSparse(a *linalg.CSR, n int, opts Options) *SparseProgram {
 	for j := 0; j < n; j++ {
 		pr.diagSlot[j] = int32(pr.sym.Slot(j, j))
 	}
-	if pr.workers > 1 && pr.m > 0 {
+	if pr.workers > 1 {
 		pr.rowPtr = make([]int, pr.workers+1)
 		for i := 0; i <= pr.workers; i++ {
 			pr.rowPtr[i] = i * pr.m / pr.workers
@@ -220,14 +240,14 @@ func CompileSparse(a *linalg.CSR, n int, opts Options) *SparseProgram {
 }
 
 // newWorkspace mints one solve's workspace: a numeric factor from the
-// shared symbolic program, the Newton vectors, and (for workers > 1) the
-// per-worker partials and task closures.
+// shared symbolic program, the iteration vectors, and (for workers > 1)
+// the per-worker partials and task closures.
 func (pr *SparseProgram) newWorkspace() *sparseSolver {
-	n := pr.n
+	n, m := pr.n, pr.m
 	s := &sparseSolver{
 		a:        pr.a,
 		n:        n,
-		m:        pr.m,
+		m:        m,
 		workers:  pr.workers,
 		h:        pr.sym.NewFactor(),
 		pairPtr:  pr.pairPtr,
@@ -240,39 +260,34 @@ func (pr *SparseProgram) newWorkspace() *sparseSolver {
 	s.hdiag = linalg.NewVector(n)
 	s.dir = linalg.NewVector(n)
 	s.rhs = linalg.NewVector(n)
-	s.slack = linalg.NewVector(s.m)
-	s.adir = linalg.NewVector(s.m)
-	s.trial = linalg.NewVector(n)
+	s.slack = linalg.NewVector(m)
+	s.lam = linalg.NewVector(m)
+	s.ds = linalg.NewVector(m)
+	s.dlam = linalg.NewVector(m)
+	s.v = linalg.NewVector(m)
+	s.rp = linalg.NewVector(m)
 
-	if s.workers > 1 && s.m > 0 {
+	if s.workers > 1 {
 		w := s.workers
-		s.gradW = make([]linalg.Vector, w)
 		s.hvW = make([][]float64, w)
-		s.phiW = make([]float64, w)
 		for i := 0; i < w; i++ {
 			i := i
-			s.gradW[i] = linalg.NewVector(n)
 			s.hvW[i] = make([]float64, len(s.h.Val))
 			s.mvTasks = append(s.mvTasks, &linalg.PoolTask{Fn: func() { s.mvShard(i) }})
 			s.asmTasks = append(s.asmTasks, &linalg.PoolTask{Fn: func() { s.asmShard(i) }})
-			s.barTasks = append(s.barTasks, &linalg.PoolTask{Fn: func() { s.barShard(i) }})
 		}
 	}
 	return s
 }
 
-// Minimize runs the barrier method over this compiled program with the
-// given objective, right-hand side, and strictly feasible start point.
-// The per-solve workspace is borrowed from the program's pool, so warm
-// calls skip both the symbolic analysis and the workspace allocations.
-// opts.Workers and opts.Ordering are ignored here — both were fixed at
-// CompileSparse.
+// Minimize runs the primal-dual interior point over this compiled program
+// with the given objective, right-hand side, and strictly feasible start
+// point. The per-solve workspace is borrowed from the program's pool, so
+// warm calls skip both the symbolic analysis and the workspace
+// allocations. opts.Workers and opts.Ordering are ignored here — both
+// were fixed at CompileSparse.
 func (pr *SparseProgram) Minimize(f DiagObjective, b linalg.Vector, x0 linalg.Vector, opts Options) (*Result, error) {
-	if pr.a != nil {
-		if pr.a.Cols != len(x0) || len(b) != pr.a.Rows {
-			return nil, ErrDimension
-		}
-	} else if len(x0) != pr.n {
+	if pr.m == 0 || pr.a.Cols != len(x0) || len(b) != pr.m {
 		return nil, ErrDimension
 	}
 	var s *sparseSolver
@@ -304,216 +319,108 @@ func (s *sparseSolver) mvShard(w int) {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			sum += a.Val[p] * x[a.Col[p]]
 		}
-		if s.mvSub {
-			s.mvDst[i] = s.b[i] - sum
-		} else {
-			s.mvDst[i] = sum
-		}
-	}
-}
-
-// computeSlack fills slack = b − A·x.
-func (s *sparseSolver) computeSlack(x, slack linalg.Vector) {
-	if s.mvTasks != nil {
-		s.mvX, s.mvDst, s.mvSub = x, slack, true
-		linalg.RunTasks(s.mvTasks, &s.wg)
-		return
-	}
-	s.a.MulVec(x, slack)
-	for i := range slack {
-		slack[i] = s.b[i] - slack[i]
+		s.mvDst[i] = sum
 	}
 }
 
 // mulA fills dst = A·x.
 func (s *sparseSolver) mulA(x, dst linalg.Vector) {
 	if s.mvTasks != nil {
-		s.mvX, s.mvDst, s.mvSub = x, dst, false
+		s.mvX, s.mvDst = x, dst
 		linalg.RunTasks(s.mvTasks, &s.wg)
 		return
 	}
 	s.a.MulVec(x, dst)
 }
 
-// asmShard accumulates the barrier gradient and Hessian contributions of
-// its row shard into this worker's partials. Slack must already hold
-// b − A·x; a non-positive entry flips fail and aborts the shard.
-func (s *sparseSolver) asmShard(w int) {
-	a := s.a
-	gw := s.gradW[w]
-	for j := range gw {
-		gw[j] = 0
+// addRows adds Σ (λᵢ/sᵢ)·aᵢaᵢᵀ over the rows [lo, hi) into the Hessian
+// values hv.
+func (s *sparseSolver) addRows(hv []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		w := s.lam[i] / s.slack[i]
+		for k := s.pairPtr[i]; k < s.pairPtr[i+1]; k++ {
+			hv[s.pairSlot[k]] += w * s.pairProd[k]
+		}
 	}
+}
+
+// asmShard accumulates its row shard's constraint term into this
+// worker's Hessian partial.
+func (s *sparseSolver) asmShard(w int) {
 	hw := s.hvW[w]
 	for k := range hw {
 		hw[k] = 0
 	}
-	for i := s.rowPtr[w]; i < s.rowPtr[w+1]; i++ {
-		si := s.slack[i]
-		if si <= 0 {
-			s.fail.Store(true)
-			return
-		}
-		inv := 1 / si
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			gw[a.Col[p]] += a.Val[p] * inv
-		}
-		ww := inv * inv
-		for k := s.pairPtr[i]; k < s.pairPtr[i+1]; k++ {
-			hw[s.pairSlot[k]] += ww * s.pairProd[k]
-		}
-	}
+	s.addRows(hw, s.rowPtr[w], s.rowPtr[w+1])
 }
 
-// barShard evaluates the barrier sum −Σ log(sᵢ − step·(A·dir)ᵢ) over its
-// row shard into phiW[w]; a non-positive trial slack flips fail.
-func (s *sparseSolver) barShard(w int) {
-	step := s.curStep
-	phi := 0.0
-	for i := s.rowPtr[w]; i < s.rowPtr[w+1]; i++ {
-		ts := s.slack[i] - step*s.adir[i]
-		if ts <= 0 {
-			s.fail.Store(true)
-			return
-		}
-		phi -= math.Log(ts)
-	}
-	s.phiW[w] = phi
-}
-
-// newtonStep assembles the gradient and sparse Hessian of t·f + φ at x
-// and solves for the Newton direction into s.dir. Zero allocations.
-func (s *sparseSolver) newtonStep(x linalg.Vector, t float64) (float64, error) {
-	// Gradient: t·∇f + Σ aᵢ/sᵢ; Hessian: t·∇²f + Σ aᵢaᵢᵀ/sᵢ².
-	s.f.Gradient(x, s.grad)
-	s.grad.Scale(t)
+// factor assembles H = ∇²f(x) + Aᵀdiag(λ/s)A and factors it.
+func (s *sparseSolver) factor(x linalg.Vector) error {
 	s.h.ZeroVals()
 	s.f.HessianDiag(x, s.hdiag)
 	hv := s.h.Val
 	for j := 0; j < s.n; j++ {
-		hv[s.diagSlot[j]] += t * s.hdiag[j]
+		hv[s.diagSlot[j]] += s.hdiag[j]
 	}
-	if s.a != nil {
-		s.computeSlack(x, s.slack)
-		if s.asmTasks != nil {
-			s.fail.Store(false)
-			linalg.RunTasks(s.asmTasks, &s.wg)
-			if s.fail.Load() {
-				for i := 0; i < s.m; i++ {
-					if s.slack[i] <= 0 {
-						return 0, fmt.Errorf("%w: slack %d non-positive during centering", ErrNumerical, i)
-					}
-				}
-			}
-			// Reduce the per-worker partials in fixed worker order —
-			// deterministic for a fixed worker count.
-			for w := 0; w < len(s.gradW); w++ {
-				gw := s.gradW[w]
-				for j := 0; j < s.n; j++ {
-					s.grad[j] += gw[j]
-				}
-				hw := s.hvW[w]
-				for k := range hw {
-					hv[k] += hw[k]
-				}
-			}
-		} else {
-			for i := 0; i < s.m; i++ {
-				si := s.slack[i]
-				if si <= 0 {
-					return 0, fmt.Errorf("%w: slack %d non-positive during centering", ErrNumerical, i)
-				}
-				inv := 1 / si
-				for p := s.a.RowPtr[i]; p < s.a.RowPtr[i+1]; p++ {
-					s.grad[s.a.Col[p]] += s.a.Val[p] * inv
-				}
-				w := inv * inv
-				for k := s.pairPtr[i]; k < s.pairPtr[i+1]; k++ {
-					hv[s.pairSlot[k]] += w * s.pairProd[k]
-				}
+	if s.asmTasks != nil {
+		linalg.RunTasks(s.asmTasks, &s.wg)
+		// Reduce the per-worker partials in fixed worker order —
+		// deterministic for a fixed worker count.
+		for _, hw := range s.hvW {
+			for k := range hw {
+				hv[k] += hw[k]
 			}
 		}
+	} else {
+		s.addRows(hv, 0, s.m)
 	}
 	if _, err := s.h.Factor(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrNumerical, err)
+		return fmt.Errorf("%w: %v", ErrNumerical, err)
 	}
-	for j := 0; j < s.n; j++ {
-		s.rhs[j] = -s.grad[j]
-	}
+	return nil
+}
+
+// direction solves the factored Newton system for the per-row right-hand
+// side v: H·Δx = −∇f − Aᵀv, then Δs = −r_p − A·Δx and
+// Δλ = v − λ + w∘(A·Δx), which is Δλ = c − λ − w∘Δs for v = c + w∘r_p.
+func (s *sparseSolver) direction() {
+	copy(s.rhs, s.grad)
+	s.a.AddMulVecT(s.v, s.rhs)
+	s.rhs.Scale(-1)
 	s.h.SolveInto(s.rhs, s.dir)
-	return s.grad.Norm2(), nil
+	s.mulA(s.dir, s.ds)
+	for i, adx := range s.ds {
+		s.dlam[i] = s.v[i] - s.lam[i] + s.lam[i]/s.slack[i]*adx
+		s.ds[i] = -s.rp[i] - adx
+	}
 }
 
-// trialBarrier evaluates t·f + φ at x + step·dir using the slack and
-// A·dir vectors already computed by the line search: the trial slack is
-// slack − step·(A·dir), so backtracking never re-runs the constraint
-// mat-vec. step 0 evaluates the current point.
-func (s *sparseSolver) trialBarrier(x linalg.Vector, step, t float64) float64 {
-	copy(s.trial, x)
-	if step != 0 {
-		s.trial.AddScaled(step, s.dir)
-	}
-	v := t * s.f.Value(s.trial)
-	if s.a == nil {
-		return v
-	}
-	if s.barTasks != nil && s.m >= barrierParallelMinRows {
-		s.fail.Store(false)
-		s.curStep = step
-		linalg.RunTasks(s.barTasks, &s.wg)
-		if s.fail.Load() {
-			return math.Inf(1)
-		}
-		for _, phi := range s.phiW {
-			v += phi
-		}
-		return v
-	}
+// maxStep returns the largest α ≤ limit that keeps s + α·Δs ≥ 0 and
+// λ + α·Δλ ≥ 0.
+func (s *sparseSolver) maxStep(limit float64) float64 {
 	for i := 0; i < s.m; i++ {
-		ts := s.slack[i] - step*s.adir[i]
-		if ts <= 0 {
-			return math.Inf(1)
+		if d := s.ds[i]; d < 0 && -s.slack[i]/d < limit {
+			limit = -s.slack[i] / d
 		}
-		v -= math.Log(ts)
+		if d := s.dlam[i]; d < 0 && -s.lam[i]/d < limit {
+			limit = -s.lam[i] / d
+		}
 	}
-	return v
+	return limit
 }
 
-// lineSearch backtracks along s.dir from x, first shrinking to stay
-// strictly feasible, then enforcing an Armijo decrease. x is updated in
-// place; returns false when no step could be taken. Zero allocations.
-func (s *sparseSolver) lineSearch(x linalg.Vector, t float64) bool {
-	const (
-		alpha = 0.25
-		beta  = 0.5
-	)
-	step := 1.0
-	if s.a != nil {
-		s.mulA(s.dir, s.adir)
-		s.computeSlack(x, s.slack)
-		for i := range s.adir {
-			if s.adir[i] > 0 {
-				limit := s.slack[i] / s.adir[i]
-				if 0.99*limit < step {
-					step = 0.99 * limit
-				}
-			}
+// stepGap returns the complementarity products' mean and minimum after a
+// step of length alpha.
+func (s *sparseSolver) stepGap(alpha float64) (mean, lo float64) {
+	lo = math.Inf(1)
+	for i := 0; i < s.m; i++ {
+		p := (s.slack[i] + alpha*s.ds[i]) * (s.lam[i] + alpha*s.dlam[i])
+		mean += p
+		if p < lo {
+			lo = p
 		}
 	}
-	if step <= 0 || math.IsNaN(step) {
-		return false
-	}
-	v0 := s.trialBarrier(x, 0, t)
-	slope := s.grad.Dot(s.dir)
-	for k := 0; k < 60; k++ {
-		v := s.trialBarrier(x, step, t)
-		if v <= v0+alpha*step*slope && !math.IsNaN(v) {
-			copy(x, s.trial) // trialBarrier left x + step·dir here
-			return true
-		}
-		step *= beta
-	}
-	return false
+	return mean / float64(s.m), lo
 }
 
 // estimateT0 returns the AutoT0 barrier weight at x: the least-squares
@@ -538,88 +445,131 @@ func (s *sparseSolver) estimateT0(x linalg.Vector, tol float64) float64 {
 	return clampT0(num/den, s.m, tol)
 }
 
-// minimize runs the path-following barrier method from the strictly
-// feasible x0, reusing every compiled structure and workspace.
+// start sets s = b − A·x at the strictly feasible x and centres the
+// multipliers at λ = μ₀/s: μ₀ = 1/T0, or min(1, 10/t*) under AutoT0 with
+// t* the barrier's centrality estimate, so a warm start near the optimum
+// begins with a small gap while a cold one (t* clamped to 1) keeps μ₀ = 1.
+func (s *sparseSolver) start(x linalg.Vector, opts Options, tol float64) error {
+	s.mulA(x, s.slack)
+	for i := range s.slack {
+		s.slack[i] = s.b[i] - s.slack[i]
+	}
+	if lo := s.slack.Min(); lo <= 0 {
+		return fmt.Errorf("%w (min slack %g)", ErrInfeasibleStart, lo)
+	}
+	mu0 := 1.0
+	if opts.T0 != 0 {
+		mu0 = 1 / opts.T0
+	} else if opts.AutoT0 {
+		mu0 = math.Min(1, 10/s.estimateT0(x, tol))
+	}
+	for i := range s.lam {
+		s.lam[i] = mu0 / s.slack[i]
+	}
+	s.cut = false
+	return nil
+}
+
+// iterate takes one predictor-corrector step from (x, s, λ), or reports
+// done when both stopping tests already hold: sᵀλ ≤ tol (or μ at its
+// roundoff floor) and ‖r_d‖∞ ≤ tol·(1 + ‖∇f‖∞). Zero allocations.
+func (s *sparseSolver) iterate(x linalg.Vector, tol float64) (bool, error) {
+	s.mulA(x, s.rp)
+	for i := range s.rp {
+		s.rp[i] += s.slack[i] - s.b[i]
+	}
+	s.f.Gradient(x, s.grad)
+	copy(s.rhs, s.grad)
+	s.a.AddMulVecT(s.lam, s.rhs)
+	rd := s.rhs.NormInf()
+	gap := s.slack.Dot(s.lam)
+	mu := gap / float64(s.m)
+	if (gap <= tol || mu <= pdMuFloor*(1+s.lam.NormInf())) && rd <= tol*(1+s.grad.NormInf()) {
+		return true, nil
+	}
+	if err := s.factor(x); err != nil {
+		return false, err
+	}
+
+	// Predictor: the affine-scaling direction, v = w∘r_p.
+	for i := range s.v {
+		s.v[i] = s.lam[i] / s.slack[i] * s.rp[i]
+	}
+	s.direction()
+	muAff, _ := s.stepGap(s.maxStep(1))
+	sigma := math.Min(1, math.Pow(muAff/mu, 3))
+	switch {
+	case rd > pdDualLag*mu:
+		sigma = 1
+	case s.cut:
+		sigma = math.Max(sigma, 0.5)
+	}
+
+	// Corrector: v = c + w∘r_p with c = (σμ − Δsᵃ∘Δλᵃ)/s.
+	for i := range s.v {
+		s.v[i] = (sigma*mu - s.ds[i]*s.dlam[i] + s.lam[i]*s.rp[i]) / s.slack[i]
+	}
+	s.direction()
+	if math.IsNaN(sigma) || !s.dir.AllFinite() {
+		return false, fmt.Errorf("%w: non-finite primal-dual direction", ErrNumerical)
+	}
+
+	// One step length for x, s and λ, backed off until every sᵢλᵢ stays
+	// within pdCentral of the new mean.
+	full := pdStepFrac * s.maxStep(1/pdStepFrac)
+	alpha := full
+	for k := 0; k < 60; k++ {
+		if mean, lo := s.stepGap(alpha); lo >= pdCentral*mean {
+			break
+		}
+		alpha *= pdStepBack
+	}
+	s.cut = alpha < full/2
+	x.AddScaled(alpha, s.dir)
+	s.slack.AddScaled(alpha, s.ds)
+	s.lam.AddScaled(alpha, s.dlam)
+	return false, nil
+}
+
+// minimize runs the primal-dual interior point from the strictly feasible
+// x0, reusing every compiled structure and workspace.
 func (s *sparseSolver) minimize(x0 linalg.Vector, opts Options) (*Result, error) {
 	tol := opts.Tol
 	if tol == 0 {
 		tol = 1e-9
 	}
-	maxNewton := opts.MaxNewton
-	if maxNewton == 0 {
-		maxNewton = 60
-	}
-	maxOuter := opts.MaxOuter
-	if maxOuter == 0 {
-		maxOuter = 80
-	}
-	mu := opts.Mu
-	if mu == 0 {
-		mu = 12
-	}
-	t := opts.T0
-	if t == 0 {
-		t = 1
-	}
-
 	x := x0.Clone()
-	if s.m > 0 {
-		s.computeSlack(x, s.slack)
-		if s.slack.Min() <= 0 {
-			return nil, fmt.Errorf("%w (min slack %g)", ErrInfeasibleStart, s.slack.Min())
-		}
-		if opts.AutoT0 && opts.T0 == 0 {
-			t = s.estimateT0(x, tol)
-		}
+	if err := s.start(x, opts, tol); err != nil {
+		return nil, err
 	}
 	res := &Result{}
-	for outer := 0; outer < maxOuter; outer++ {
-		res.OuterStages++
-		for it := 0; it < maxNewton; it++ {
-			res.Newton++
-			gnorm, err := s.newtonStep(x, t)
-			if err != nil {
-				return nil, err
-			}
-			lambda2 := -s.grad.Dot(s.dir)
-			if lambda2 < 0 {
-				lambda2 = 0
-			}
-			if lambda2/2 < 1e-12 || gnorm < 1e-13 {
-				break
-			}
-			if !s.lineSearch(x, t) {
-				break
-			}
+	for ; res.Newton < pdMaxIter; res.Newton++ {
+		done, err := s.iterate(x, tol/pdTolScale)
+		if err != nil {
+			return nil, err
 		}
-		gap := float64(s.m) / t
-		res.GapBound = gap
-		if s.m == 0 || gap < tol {
-			break
+		if done {
+			res.X = x
+			res.Value = s.f.Value(x)
+			res.GapBound = s.slack.Dot(s.lam)
+			return res, nil
 		}
-		t *= mu
 	}
-	res.X = x
-	res.Value = s.f.Value(x)
-	return res, nil
+	return nil, fmt.Errorf("%w: no convergence in %d primal-dual iterations", ErrNumerical, pdMaxIter)
 }
 
-// SparseMinimize runs the barrier method on the sparse constraint system
-// A·x ≤ b from the strictly feasible point x0. It is numerically the
-// same path-following scheme as Minimize — same centering, same stopping
-// rules — with the Newton system assembled and factored in sparse form:
-// setup compiles the Hessian pattern, a fill-reducing ordering, and the
-// symbolic factorization once, after which every Newton iteration runs
-// allocation-free. a may be nil (unconstrained Newton on a separable
-// objective). Options.Workers > 1 (or 0 on a large enough system with
+// SparseMinimize runs the primal-dual interior point on the sparse
+// constraint system A·x ≤ b from the strictly feasible point x0. Setup
+// compiles the Newton-matrix pattern, a fill-reducing ordering, and the
+// symbolic factorization once, after which every iteration runs
+// allocation-free. a must have at least one row (ErrDimension
+// otherwise). Options.Workers > 1 (or 0 on a large enough system with
 // GOMAXPROCS > 1) runs the factorization and per-iteration loops on the
 // shared worker pool; concurrent SparseMinimize calls are independent.
 func SparseMinimize(f DiagObjective, a *linalg.CSR, b linalg.Vector, x0 linalg.Vector, opts Options) (*Result, error) {
 	n := len(x0)
-	if a != nil {
-		if a.Cols != n || len(b) != a.Rows {
-			return nil, ErrDimension
-		}
+	if a == nil || a.Rows == 0 || a.Cols != n || len(b) != a.Rows {
+		return nil, ErrDimension
 	}
 	return CompileSparse(a, n, opts).Minimize(f, b, x0, opts)
 }

@@ -145,11 +145,21 @@ func TestSparseMinimizeDimensionMismatch(t *testing.T) {
 	}
 }
 
-// TestNewtonInnerLoopZeroAllocs pins the sparse Newton inner loop —
-// assembly, factorization, solve, and line search — at zero heap
-// allocations per iteration. This is the regression test the perf work
-// rests on: any accidental per-iteration allocation fails here before it
-// shows up in a benchmark.
+func TestSparseMinimizeRejectsNoConstraints(t *testing.T) {
+	f := &sepPowerSum{w: linalg.Vector{1}}
+	if _, err := SparseMinimize(f, nil, nil, linalg.Vector{1}, Options{}); err != ErrDimension {
+		t.Fatalf("nil A: expected ErrDimension, got %v", err)
+	}
+	if _, err := SparseMinimize(f, linalg.NewCSRBuilder(1).Build(), nil, linalg.Vector{1}, Options{}); err != ErrDimension {
+		t.Fatalf("zero-row A: expected ErrDimension, got %v", err)
+	}
+}
+
+// TestNewtonInnerLoopZeroAllocs pins the sparse primal-dual iteration —
+// residuals, assembly, factorization, predictor and corrector solves, and
+// the step-back — at zero heap allocations. This is the regression test
+// the perf work rests on: any accidental per-iteration allocation fails
+// here before it shows up in a benchmark.
 func TestNewtonInnerLoopZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 24
@@ -158,19 +168,22 @@ func TestNewtonInnerLoopZeroAllocs(t *testing.T) {
 	s.f, s.b = f, b
 	x := x0.Clone()
 	// Warm the path: one full minimize pass compiles nothing new (setup
-	// happened in CompileSparse/newWorkspace) but settles x near the
-	// central path.
+	// happened in CompileSparse/newWorkspace).
 	if _, err := s.minimize(x0, Options{}); err != nil {
 		t.Fatalf("minimize: %v", err)
 	}
-	tBar := 8.0
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := s.newtonStep(x, tBar); err != nil {
-			t.Fatalf("newtonStep: %v", err)
+		copy(x, x0)
+		if err := s.start(x, Options{}, 1e-9); err != nil {
+			t.Fatalf("start: %v", err)
 		}
-		s.lineSearch(x, tBar)
+		for k := 0; k < 5; k++ {
+			if _, err := s.iterate(x, 1e-11); err != nil {
+				t.Fatalf("iterate: %v", err)
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Newton inner loop allocated %v times per iteration, want 0", allocs)
+		t.Fatalf("primal-dual iteration allocated %v times per run, want 0", allocs)
 	}
 }

@@ -20,7 +20,7 @@ import (
 //	tᵢ ≤ D
 //	dᵢ ≥ wᵢ/smax   (speed cap)
 //
-// We solve it with the log-barrier interior-point method of internal/convex
+// We solve it with the primal-dual interior-point method of internal/convex
 // after normalizing time by D and work by the critical-path weight, so all
 // quantities are O(1) regardless of instance scale.
 
@@ -42,11 +42,11 @@ type ContinuousOptions struct {
 	// to) is unchanged — only the centering work shrinks. Stale or
 	// infeasible warm data falls back to the cold start silently.
 	Warm *WarmStart
-	// DenseKernel routes the barrier method through the dense reference
-	// kernel (O(m·n²) assembly, O(n³) Cholesky) instead of the default
-	// graph-structured sparse LDLᵀ path. It exists as the oracle the
-	// property suite checks the sparse path against; production solves
-	// should leave it false.
+	// DenseKernel routes the solve through the dense log-barrier oracle
+	// (O(m·n²) assembly, O(n³) Cholesky) instead of the default sparse
+	// primal-dual kernel. It exists as the oracle the property suite
+	// checks the sparse path against; production solves should leave it
+	// false.
 	DenseKernel bool
 	// Workers caps the parallelism of the sparse kernel (elimination-tree
 	// factorization, constraint assembly, mat-vec loops). 0 selects
@@ -164,7 +164,7 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 		// Rigorous speed cap for the unconstrained case: in any optimum,
 		// wᵢ·sᵢ² ≤ E* ≤ E(all at cpw/D) = Σwⱼ·(cpw/D)², so
 		// sᵢ ≤ sqrt(Σwⱼ/wᵢ)·cpw/D. Normalized: sᵢ' ≤ sqrt(Σwⱼ'/wᵢ').
-		// A single global cap with 4x headroom keeps the barrier away from
+		// A single global cap with 4x headroom keeps the cap rows slack at
 		// the true optimum for every task.
 		totalN := 0.0
 		minW := math.Inf(1)
@@ -293,12 +293,12 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 		tol = 1e-10
 	}
 	obj := &energyObjective{w: wn, n: n}
-	// The duality gap bound is m/t in the barrier method; request it small
-	// relative to the objective scale (normalized energies are O(1)).
-	// Warm starts begin next to the optimum, so AutoT0 lets the barrier
-	// weight start at the point's own centrality instead of re-walking
-	// the whole path from t=1 — that is what makes a warm re-solve
-	// cheaper than a cold one.
+	// Request the duality gap (sᵀλ in the primal-dual kernel, m/t in the
+	// dense barrier oracle) small relative to the objective scale
+	// (normalized energies are O(1)). Warm starts begin next to the
+	// optimum, so AutoT0 starts the kernel at a gap matched to the point's
+	// own centrality instead of re-walking the whole path from μ₀ = 1 —
+	// that is what makes a warm re-solve cheaper than a cold one.
 	copts := convex.Options{
 		Tol:      tol * math.Max(1, obj.Value(x0)),
 		AutoT0:   warmStarted,

@@ -91,7 +91,7 @@ func (p *Problem) approxByRounding(m model.Model, K int, opts ContinuousOptions)
 		}
 		speeds[i] = up
 	}
-	return p.solutionFromSpeedsAt(m, speeds, opts.Release, Stats{Exact: false})
+	return p.solutionFromSpeedsAt(m, speeds, opts.Release, Stats{Newton: cont.Stats.Newton})
 }
 
 // Theorem5Bound returns (1 + δ/smin)²·(1 + 1/K)².

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 func TestTheorem5BoundFormula(t *testing.T) {
@@ -217,5 +218,41 @@ func TestIncrementalConvergesAsDeltaShrinks(t *testing.T) {
 	}
 	if prevRatio > 1.1 {
 		t.Fatalf("δ=0.1 ratio still %v; expected near-continuous energy", prevRatio)
+	}
+}
+
+// TestApproxReportsRelaxationNewton pins that the rounding approximations
+// report the interior-point work of their continuous relaxation: on a
+// general DAG the relaxation runs the kernel, so Stats.Newton is positive
+// for incremental-approx (through the routing table) and discrete-approx.
+func TestApproxReportsRelaxationNewton(t *testing.T) {
+	g, err := workload.FromSeed("layered", 24, 3, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmin, err := g.MinimalDeadline(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(g, dmin*1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, _ := model.NewIncremental(0.5, 2, 0.25)
+	sol, err := p.SolveAuto(im, PlannedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stats.Algorithm != "incremental-approx" || sol.Stats.Newton <= 0 {
+		t.Fatalf("incremental solve reported %s with %d Newton iterations, want incremental-approx with > 0",
+			sol.Stats.Algorithm, sol.Stats.Newton)
+	}
+	dm, _ := model.NewDiscrete([]float64{0.5, 1, 1.5, 2})
+	dsol, err := p.SolveDiscreteApprox(dm, 4, ContinuousOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dsol.Stats.Newton <= 0 {
+		t.Fatalf("discrete-approx reported %d Newton iterations, want > 0", dsol.Stats.Newton)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // continuousKernel is the compiled structure-determined state of one
 // continuous solve: the post-reduction edge list (which fixes the
 // constraint row order b must follow), the CSR constraint matrix, and
-// the compiled sparse barrier program.
+// the compiled sparse interior-point program.
 type continuousKernel struct {
 	edges       [][2]int
 	rowsDropped int
@@ -43,7 +43,7 @@ func compileContinuousKernel(g *graph.Graph, hasHi bool, opts ContinuousOptions,
 	// u→v alongside u→w→v. Every duration is strictly positive, so the
 	// u→v row is strictly implied by the u→w and w→v rows and the
 	// transitive reduction defines the same feasible set with fewer
-	// barrier terms. Sparse graphs skip the O(n·m) reduction cost.
+	// constraint rows. Sparse graphs skip the O(n·m) reduction cost.
 	edges := g.Edges()
 	rowsDropped := 0
 	if len(edges) > 2*n {

@@ -21,7 +21,7 @@ import (
 //
 //	Σ_i wᵢ·σ_{proc(i)}² = Σ_q W_q / u_q²,  W_q = Σ_{i on q} wᵢ,
 //
-// is convex in u > 0: the same log-barrier machinery applies with P
+// is convex in u > 0: the same interior-point machinery applies with P
 // variables instead of n.
 
 // perProcObjective is Σ_q W_q / u_q² over x = (t₁..tₙ, u₁..u_P).
@@ -135,7 +135,7 @@ func (p *Problem) SolvePerProcessorContinuous(m *platform.Mapping, smax float64,
 	// Constraints over x = (t, u): edges, start, deadline, uLo ≤ u ≤ uHi.
 	// The upper bound exists so idle processors' u (absent from both the
 	// objective and the scheduling constraints) cannot drift unboundedly
-	// under the barrier; for busy processors it is implied by the deadline
+	// inside the interior point; for busy processors it is implied by the deadline
 	// and therefore harmless.
 	uHi := make([]float64, np)
 	wmax := make([]float64, np)

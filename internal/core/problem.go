@@ -8,8 +8,8 @@
 //
 //   - Continuous — closed forms for chains and forks (Theorem 1), the
 //     equivalent-weight algebra for trees and series-parallel graphs
-//     (Theorem 2), and a log-barrier geometric-program solver for arbitrary
-//     DAGs (Section 2.1).
+//     (Theorem 2), and an interior-point geometric-program solver for
+//     arbitrary DAGs (Section 2.1).
 //   - Vdd-Hopping — exact linear program (Theorem 3).
 //   - Discrete / Incremental — NP-complete (Theorem 4): exact branch-and-
 //     bound and an exact Pareto dynamic program for SP-shaped graphs, plus
@@ -87,8 +87,8 @@ type Stats struct {
 	BoundFactor float64
 	// PrecedenceRowsDropped counts transitively implied precedence rows
 	// removed before constraint assembly (continuous numeric on dense
-	// DAGs). The feasible set is unchanged; the barrier just carries
-	// fewer terms.
+	// DAGs). The feasible set is unchanged; the interior point just
+	// carries fewer rows.
 	PrecedenceRowsDropped int
 }
 

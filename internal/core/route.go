@@ -184,7 +184,7 @@ func SelectRoute(m model.Model, selector string, class Class, n int, opts Planne
 	case model.Continuous:
 		switch {
 		case residual:
-			return Route{Solver: "continuous-interior-point", Rationale: "residual component with release times: log-barrier geometric program with tᵢ−dᵢ ≥ rᵢ rows",
+			return Route{Solver: "continuous-interior-point", Rationale: "residual component with release times: interior-point geometric program with tᵢ−dᵢ ≥ rᵢ rows",
 				BoundFactor: 1, Cost: cubic}, nil
 		case class == ClassChain:
 			return Route{Solver: "chain-closed-form", Rationale: "Theorem 1: every chain task runs at Σw/D", BoundFactor: 1, Cost: nf}, nil
@@ -198,7 +198,7 @@ func SelectRoute(m model.Model, selector string, class Class, n int, opts Planne
 			return Route{Solver: "sp-equivalent-weight", Rationale: "Theorem 2: series/parallel weight composition W³/D²; interior point if smax binds",
 				BoundFactor: 1, Cost: nf}, nil
 		}
-		return Route{Solver: "continuous-interior-point", Rationale: "general DAG: log-barrier geometric program (Section 2.1)",
+		return Route{Solver: "continuous-interior-point", Rationale: "general DAG: interior-point geometric program (Section 2.1)",
 			BoundFactor: 1, Cost: cubic, Degradable: true}, nil
 	case model.VddHopping:
 		r := Route{Solver: "vdd-lp", Rationale: "Theorem 3: exact linear program, speeds hop between neighboring modes",

@@ -15,6 +15,11 @@ import (
 // and SMin-banded. The dense path is the oracle; the sparse path is what
 // production runs.
 
+// maxSparseIterations bounds the primal-dual iterations of every sparse
+// solve in this suite: the work counter the kernel's speed rests on,
+// pinned here instead of a wall-clock bound.
+const maxSparseIterations = 60
+
 // sparseDenseVariant names one ContinuousOptions shape of the matrix.
 type sparseDenseVariant struct {
 	name  string
@@ -100,12 +105,88 @@ func TestSparseKernelMatchesDenseAcrossFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: sparse solve: %v", fc.family, v.name, err)
 			}
+			if sparse.Stats.Newton > maxSparseIterations {
+				t.Errorf("%s/%s: sparse solve took %d iterations, want ≤ %d",
+					fc.family, v.name, sparse.Stats.Newton, maxSparseIterations)
+			}
 			opts.DenseKernel = true
 			dense, err := p.SolveContinuousNumeric(smax, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: dense solve: %v", fc.family, v.name, err)
 			}
 			if rel := math.Abs(sparse.Energy-dense.Energy) / math.Max(1, dense.Energy); rel > 1e-9 {
+				t.Errorf("%s/%s: energy sparse %.15g dense %.15g (rel %g)",
+					fc.family, v.name, sparse.Energy, dense.Energy, rel)
+			}
+			ss, err := sparse.Speeds()
+			if err != nil {
+				t.Fatalf("%s/%s: sparse speeds: %v", fc.family, v.name, err)
+			}
+			ds, err := dense.Speeds()
+			if err != nil {
+				t.Fatalf("%s/%s: dense speeds: %v", fc.family, v.name, err)
+			}
+			for i := range ss {
+				if d := math.Abs(ss[i] - ds[i]); d > 1e-9*(1+ds[i]) {
+					t.Errorf("%s/%s: speed[%d] sparse %.15g dense %.15g",
+						fc.family, v.name, i, ss[i], ds[i])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestSparseKernelMatchesPreciseDenseAtTightDeadline runs the sparse
+// kernel where most speed caps bind — 1.02× the minimal deadline — on
+// three general DAGs × the four variants, against the dense oracle solved
+// to Tol 1e-13. The default-tolerance oracle is itself about 1e-9 off in
+// speeds on such instances, which is why these cases are not in the
+// suite above.
+func TestSparseKernelMatchesPreciseDenseAtTightDeadline(t *testing.T) {
+	const smax = 2.0
+	for _, fc := range []struct {
+		family string
+		n      int
+		seed   int64
+	}{
+		{"layered", 36, 31},
+		{"gnp", 40, 32},
+		{"lu", 5, 33},
+	} {
+		g, err := workload.FromSeed(fc.family, fc.n, fc.seed, 0.5, 3)
+		if err != nil {
+			t.Fatalf("%s: generate: %v", fc.family, err)
+		}
+		dmin, err := g.MinimalDeadline(smax)
+		if err != nil {
+			t.Fatalf("%s: minimal deadline: %v", fc.family, err)
+		}
+		p, err := NewProblem(g, dmin*1.02)
+		if err != nil {
+			t.Fatalf("%s: problem: %v", fc.family, err)
+		}
+		cold, err := p.SolveContinuousNumeric(smax, ContinuousOptions{})
+		if err != nil {
+			t.Fatalf("%s: cold solve: %v", fc.family, err)
+		}
+		for _, v := range sparseDenseVariants() {
+			opts, _ := v.setup(p, cold)
+			sparse, err := p.SolveContinuousNumeric(smax, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: sparse solve: %v", fc.family, v.name, err)
+			}
+			if sparse.Stats.Newton > maxSparseIterations {
+				t.Errorf("%s/%s: sparse solve took %d iterations, want ≤ %d",
+					fc.family, v.name, sparse.Stats.Newton, maxSparseIterations)
+			}
+			opts.DenseKernel = true
+			opts.Tol = 1e-13
+			dense, err := p.SolveContinuousNumeric(smax, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: dense solve: %v", fc.family, v.name, err)
+			}
+			if rel := math.Abs(sparse.Energy-dense.Energy) / math.Max(1, dense.Energy); rel > 1e-11 {
 				t.Errorf("%s/%s: energy sparse %.15g dense %.15g (rel %g)",
 					fc.family, v.name, sparse.Energy, dense.Energy, rel)
 			}

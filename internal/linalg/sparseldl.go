@@ -10,7 +10,7 @@ import (
 
 // SparseSym is a symmetric positive definite matrix with a fixed sparsity
 // pattern, built once and refactored many times: the shape of the Newton
-// systems t·∇²f + AᵀS⁻²A of the barrier method, whose pattern is the
+// matrices ∇²f + Aᵀdiag(λ/s)A of the interior point, whose pattern is the
 // execution graph and never changes across iterations. Construction (via
 // SymBuilder.Compile or CompileOpts) chooses a fill-reducing ordering —
 // reverse Cuthill–McKee or nested dissection, see order.go — and performs
@@ -117,8 +117,8 @@ func SymbolicAnalyses() uint64 { return symbolicAnalyses.Load() }
 
 // SymBuilder collects the nonzero pattern of an n×n symmetric matrix.
 // Positions are unordered pairs; duplicates are fine. Every diagonal
-// entry is included automatically (the barrier Hessian always has a full
-// diagonal, and diagonal slots are what Factor boosts on near-singular
+// entry is included automatically (the interior point's Newton matrix always
+// has a full diagonal, and diagonal slots are what Factor boosts on near-singular
 // systems).
 type SymBuilder struct {
 	n     int

@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -962,28 +961,13 @@ func buildRow(cfg Config, pool []instanceSpec, name string, samples []sample, wa
 	row.MinMS = lat[0]
 	row.MaxMS = lat[len(lat)-1]
 	row.MeanMS = mean / float64(len(lat))
-	row.P50MS = percentile(lat, 0.50)
-	row.P90MS = percentile(lat, 0.90)
-	row.P99MS = percentile(lat, 0.99)
-	row.P999MS = percentile(lat, 0.999)
+	row.P50MS = benchkit.Percentile(lat, 0.50)
+	row.P90MS = benchkit.Percentile(lat, 0.90)
+	row.P99MS = benchkit.Percentile(lat, 0.99)
+	row.P999MS = benchkit.Percentile(lat, 0.999)
 	if secs := wall.Seconds(); secs > 0 {
 		row.Throughput = float64(len(samples)) / secs
 	}
 	row.ErrorRate = float64(errs) / float64(len(samples))
 	return row
-}
-
-// percentile reads the q-quantile of an ascending slice (nearest-rank).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -160,7 +160,7 @@ func (rt *Router) Solve(p *core.Problem, cp ComponentPlan) (*core.Solution, erro
 	}
 	// Overload reroute: one uniform speed for the whole component, with the
 	// W/CPW critical-path bound Route attached. Cheapest feasible schedule
-	// the model admits — O(n), no search, no barrier.
+	// the model admits — O(n), no search, no interior point.
 	sol, err := p.SolveUniform(rt.m)
 	if err != nil {
 		return nil, err

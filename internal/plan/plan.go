@@ -293,7 +293,7 @@ func newPlan(p *core.Problem, m model.Model, opts Options, res *Residual) (*Plan
 // dedupeNote annotates interior-point rationales for dense components:
 // the solver drops transitively implied precedence rows before assembly
 // (see core.SolveContinuousNumeric), and the plan surfaces that the
-// barrier will carry fewer rows than the raw edge count suggests.
+// interior point will carry fewer rows than the raw edge count suggests.
 func dedupeNote(g *graph.Graph) string {
 	if g.M() > 2*g.N() {
 		return fmt.Sprintf("; %d precedence rows exceed 2·n — transitively implied rows are deduped before assembly", g.M())

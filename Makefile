@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Wall-clock slowdown tolerated by bench-compare before a scenario fails.
 TOLERANCE ?= 2
 
-.PHONY: all build test race vet bench verify bench-all bench-compare bench-baseline bench-large bench-huge loadtest chaos perfbench-test fuzz loc clean
+.PHONY: all build test race vet fmt bench verify bench-all bench-compare bench-baseline bench-large bench-huge loadtest chaos perfbench-test fuzz loc clean
 
 all: verify
 
@@ -20,15 +20,23 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails, listing the files, when any Go file is not gofmt-formatted.
+# CI's lint job runs this same target.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; \
+	fi
+
 race:
 	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run NONE ./...
 
-# verify chains the full gate: static checks, the race-detected suite, and a
-# one-shot pass over every benchmark (so perf regressions break loudly).
-verify: vet race bench
+# verify chains the full gate: static checks (the formatting check and go
+# vet, as CI's lint job runs them), the race-detected suite, and a one-shot
+# pass over every benchmark (so perf regressions break loudly).
+verify: fmt vet race bench
 
 # bench-all runs the full energybench scenario registry (every graph family
 # × energy model × solve path) and writes the canonical report.

@@ -42,7 +42,7 @@ func main() {
 func run() error {
 	var (
 		graphFile  = flag.String("graph", "", "load task graph from JSON file instead of generating")
-		gen        = flag.String("gen", "layered", "generator: chain|fork|join|forkjoin|layered|gnp|tree|sp|lu|stencil|fft|pipeline")
+		gen        = flag.String("gen", "layered", "generator: "+strings.Join(workload.Families(), "|"))
 		n          = flag.Int("n", 16, "generator size parameter")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		procs      = flag.Int("procs", 4, "number of processors")
@@ -278,44 +278,7 @@ func loadOrGenerate(file, gen string, n int, rng *rand.Rand) (*graph.Graph, erro
 		}
 		return g, nil
 	}
-	wf := graph.UniformWeights(1, 5)
-	switch gen {
-	case "chain":
-		return graph.Chain(rng, n, wf), nil
-	case "fork":
-		return graph.Fork(rng, n, wf), nil
-	case "join":
-		return graph.Join(rng, n, wf), nil
-	case "forkjoin":
-		return graph.ForkJoin(rng, n, 3, wf), nil
-	case "layered":
-		width := 4
-		layers := (n + width - 1) / width
-		if layers < 2 {
-			layers = 2
-		}
-		return graph.Layered(rng, layers, width, 0.35, wf), nil
-	case "gnp":
-		return graph.GnpDAG(rng, n, 0.2, wf), nil
-	case "tree":
-		return graph.RandomOutTree(rng, n, wf), nil
-	case "sp":
-		g, _ := graph.RandomSP(rng, n, wf)
-		return g, nil
-	case "lu":
-		return graph.LUElimination(n, 1), nil
-	case "stencil":
-		return graph.Stencil(n, n, 1), nil
-	case "fft":
-		return graph.FFT(n, 1), nil
-	case "pipeline":
-		weights := make([]float64, 4)
-		for i := range weights {
-			weights[i] = 1 + rng.Float64()*4
-		}
-		return graph.Pipeline(4, n, weights), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q", gen)
+	return workload.Generate(gen, n, rng, graph.UniformWeights(1, 5))
 }
 
 // runComparison solves the instance under every model plus the baselines

@@ -84,7 +84,11 @@
 //
 // General DAGs — every structure the closed forms and the SP algebra
 // cannot take — land in a Mehrotra predictor-corrector primal-dual
-// interior point, and that kernel is graph-structured end to end. Each
+// interior point, and that kernel is graph-structured end to end. One
+// front end builds its program for every continuous solver: the paper's
+// s³ model, the generalized s^α extension (the rows do not depend on α,
+// only the objective does) and the per-processor program, which adds just
+// its own rows and objective. Each
 // constraint row of MinEnergy(G, D) has at most three nonzeros, so the
 // Newton matrix ∇²f + Aᵀdiag(λ/s)A has exactly the sparsity of the
 // execution graph: the solvers emit constraints in compressed-sparse-row

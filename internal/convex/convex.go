@@ -10,13 +10,15 @@
 // in the (completion-time, duration) variables, becomes exactly the shape
 // above with f(d) = Σ wᵢ³/dᵢ².
 //
-// Two code paths solve the same program. SparseMinimize (sparse.go) is
-// the production kernel: a Mehrotra predictor-corrector primal-dual
-// interior point whose constraints arrive in CSR form, whose Newton
-// matrix is assembled and factored in sparse form with a cached symbolic
-// LDLᵀ, and whose iterations allocate nothing. Minimize below is the
-// dense log-barrier method, kept as the reference oracle the property
-// suite checks the sparse path against.
+// Two code paths solve the same program. SparseProgram.Minimize
+// (sparse.go) is the production kernel: a Mehrotra predictor-corrector
+// primal-dual interior point over a program compiled once per constraint
+// structure (CompileSparse), whose constraints arrive in CSR form, whose
+// Newton matrix is assembled and factored in sparse form with a cached
+// symbolic LDLᵀ, and whose iterations allocate nothing; SparseMinimize
+// compiles and solves in one call. Minimize below is the dense
+// log-barrier method, kept as the reference oracle the property suite
+// checks the sparse path against.
 package convex
 
 import (
@@ -56,7 +58,9 @@ type Options struct {
 	// gap m/t falls below Tol; the sparse kernel stops once sᵀλ ≤ Tol/100
 	// (or the mean sᵢλᵢ reaches its roundoff floor, which only systems
 	// with tens of thousands of rows meet first) and
-	// ‖∇f + Aᵀλ‖∞ ≤ (Tol/100)·(1 + ‖∇f‖∞). Zero means 1e-9.
+	// ‖∇f + Aᵀλ‖∞ ≤ (Tol/100)·(1 + ‖∇f‖∞) (or, with the gap closed, that
+	// residual is below what rounding adds to it in one more step, which
+	// degenerate programs meet first). Zero means 1e-9.
 	Tol float64
 	// MaxNewton bounds the dense barrier's Newton iterations per
 	// centering step. Zero means 60. The sparse kernel caps its

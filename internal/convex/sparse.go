@@ -23,7 +23,7 @@ import (
 //
 //	H = ∇²f + Aᵀdiag(λ/s)A
 //
-// has exactly the sparsity of the execution graph. SparseMinimize
+// has exactly the sparsity of the execution graph. SparseProgram.Minimize
 // assembles it directly in sparse form through precomputed scatter maps,
 // factors it once per iteration with the cached-symbolic LDLᵀ of
 // internal/linalg, and solves twice against that factor (the affine
@@ -76,10 +76,14 @@ const (
 	pdDualLag = 100
 	// pdTolScale divides Options.Tol for both stopping tests.
 	pdTolScale = 100
-	// The gap test also passes once μ ≤ pdMuFloor·(1 + ‖λ‖∞): below that
-	// the active slacks sit under the roundoff of A·x, so on systems with
-	// tens of thousands of rows sᵀλ ≤ Tol/100 is out of reach.
-	pdMuFloor = 0x1p-52
+	// pdEps is the float64 machine epsilon, the scale of both stopping
+	// tests' roundoff floors. The gap test also passes once
+	// μ ≤ pdEps·(1 + ‖λ‖∞): below that the active slacks sit under the
+	// roundoff of A·x, so on systems with tens of thousands of rows
+	// sᵀλ ≤ Tol/100 is out of reach. The dual test also passes, once the
+	// gap test holds, when ‖r_d‖∞ is already below the rounding the next
+	// step's dual update would add to it (dualFloor).
+	pdEps = 0x1p-52
 )
 
 // resolveWorkers maps Options.Workers to an effective worker count for a
@@ -472,7 +476,9 @@ func (s *sparseSolver) start(x linalg.Vector, opts Options, tol float64) error {
 
 // iterate takes one predictor-corrector step from (x, s, λ), or reports
 // done when both stopping tests already hold: sᵀλ ≤ tol (or μ at its
-// roundoff floor) and ‖r_d‖∞ ≤ tol·(1 + ‖∇f‖∞). Zero allocations.
+// roundoff floor) and ‖r_d‖∞ ≤ tol·(1 + ‖∇f‖∞) (or, with the gap closed,
+// r_d below the rounding floor of the next step's dual update). Zero
+// allocations.
 func (s *sparseSolver) iterate(x linalg.Vector, tol float64) (bool, error) {
 	s.mulA(x, s.rp)
 	for i := range s.rp {
@@ -484,7 +490,8 @@ func (s *sparseSolver) iterate(x linalg.Vector, tol float64) (bool, error) {
 	rd := s.rhs.NormInf()
 	gap := s.slack.Dot(s.lam)
 	mu := gap / float64(s.m)
-	if (gap <= tol || mu <= pdMuFloor*(1+s.lam.NormInf())) && rd <= tol*(1+s.grad.NormInf()) {
+	gapMet := gap <= tol || mu <= pdEps*(1+s.lam.NormInf())
+	if gapMet && rd <= tol*(1+s.grad.NormInf()) {
 		return true, nil
 	}
 	if err := s.factor(x); err != nil {
@@ -513,6 +520,9 @@ func (s *sparseSolver) iterate(x linalg.Vector, tol float64) (bool, error) {
 	if math.IsNaN(sigma) || !s.dir.AllFinite() {
 		return false, fmt.Errorf("%w: non-finite primal-dual direction", ErrNumerical)
 	}
+	if gapMet && rd <= s.dualFloor() {
+		return true, nil
+	}
 
 	// One step length for x, s and λ, backed off until every sᵢλᵢ stays
 	// within pdCentral of the new mean.
@@ -529,6 +539,35 @@ func (s *sparseSolver) iterate(x linalg.Vector, tol float64) (bool, error) {
 	s.slack.AddScaled(alpha, s.ds)
 	s.lam.AddScaled(alpha, s.dlam)
 	return false, nil
+}
+
+// dualFloor bounds what rounding alone adds to the dual residual in the
+// step just computed. Its dual update Δλ = v − λ + w∘(A·Δx) carries the
+// rounding of A·Δx, about ε·(|A||Δx|)ᵢ in row i, magnified by wᵢ = λᵢ/sᵢ,
+// and Aᵀ hands it on to r_d: up to ε·‖|A|ᵀ(w∘(|A||Δx|))‖∞ whatever the
+// step's exact value. On degenerate programs — tight rows with zero
+// multipliers, which pipelines' tied stage weights produce — the gap
+// closes while x still moves by O(√μ) and the active rows' w nears 1/ε,
+// so this floor exceeds the tolerance and further steps only trade one
+// rounding error for another. Uses s.v and s.rhs as scratch.
+func (s *sparseSolver) dualFloor() float64 {
+	a := s.a
+	for i := 0; i < s.m; i++ {
+		sum := 0.0
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			sum += math.Abs(a.Val[p] * s.dir[a.Col[p]])
+		}
+		s.v[i] = s.lam[i] / s.slack[i] * sum
+	}
+	for j := range s.rhs {
+		s.rhs[j] = 0
+	}
+	for i := 0; i < s.m; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			s.rhs[a.Col[p]] += math.Abs(a.Val[p]) * s.v[i]
+		}
+	}
+	return pdEps * s.rhs.NormInf()
 }
 
 // minimize runs the primal-dual interior point from the strictly feasible

@@ -54,13 +54,22 @@ func TestAlphaThreeMatchesStandardSolver(t *testing.T) {
 	if relDiff(std.Energy, gen.Energy) > 1e-12 {
 		t.Fatalf("α=3 algebra %v vs standard %v", gen.Energy, std.Energy)
 	}
-	// And the numeric generalization agrees too.
+	// And the numeric generalization agrees too: with the closed form up to
+	// the interior point's gap, and with the standard numeric solver
+	// exactly, since at α = 3 it runs the same code.
 	num, err := p.SolveContinuousNumericAlpha(math.Inf(1), 3, ContinuousOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if relDiff(num.Energy, std.Energy) > 5e-4 {
+	if relDiff(num.Energy, std.Energy) > 1e-9 {
 		t.Fatalf("α=3 numeric %v vs standard %v", num.Energy, std.Energy)
+	}
+	stdNum, err := p.SolveContinuousNumeric(math.Inf(1), ContinuousOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relDiff(num.Energy, stdNum.Energy) > 1e-12 {
+		t.Fatalf("α=3 numeric %v vs standard numeric %v", num.Energy, stdNum.Energy)
 	}
 }
 
@@ -70,12 +79,12 @@ func TestAlphaEquivalentWeight(t *testing.T) {
 	g.AddTask("", 4)
 	e := graph.SPParallelOf(graph.SPLeaf(0), graph.SPLeaf(1))
 	// α = 2: (3² + 4²)^(1/2) = 5.
-	if got := EquivalentWeightAlpha(g, e, 2); relDiff(got, 5) > 1e-12 {
+	if got := EquivalentWeight(g, e, 2); relDiff(got, 5) > 1e-12 {
 		t.Fatalf("W(α=2) = %v, want 5", got)
 	}
 	// Series adds regardless of α.
 	s := graph.SPSeriesOf(graph.SPLeaf(0), graph.SPLeaf(1))
-	if got := EquivalentWeightAlpha(g, s, 2.5); got != 7 {
+	if got := EquivalentWeight(g, s, 2.5); got != 7 {
 		t.Fatalf("series W = %v, want 7", got)
 	}
 }

@@ -22,7 +22,13 @@ import (
 //
 // We solve it with the primal-dual interior-point method of internal/convex
 // after normalizing time by D and work by the critical-path weight, so all
-// quantities are O(1) regardless of instance scale.
+// quantities are O(1) regardless of instance scale. The structure of the
+// program does not depend on the power exponent (Aupy, Benoit, Dufossé,
+// Robert, arXiv:1204.0939): under power s^α the energy is Σ wᵢ^α/dᵢ^(α−1)
+// over the same rows, so solveGP below is the one front end of every
+// numeric continuous solver — SolveContinuousNumeric and the generalized-α
+// extension (alpha.go) — and the per-processor program (perproc.go) runs
+// on its parts: normalize, coldStart, energyObjective and minimizeGP.
 
 // ContinuousOptions tunes the numeric solver.
 type ContinuousOptions struct {
@@ -65,18 +71,49 @@ type ContinuousOptions struct {
 	Kernels *KernelCache
 }
 
-// energyObjective is Σ wᵢ³/dᵢ² over x = (t₁..tₙ, d₁..dₙ); the t-part does
-// not appear in the objective.
+// energyObjective is the energy Σ aᵢ/dᵢ^(α−1) over x = (t₁..tₙ, d₁..d_k);
+// the completion times t do not appear in it. In the per-task program
+// aᵢ = wᵢ^α and dᵢ is the duration of task i, run at speed wᵢ/dᵢ; at the
+// paper's α = 3 every power is a plain product — Σ wᵢ³/dᵢ². The
+// per-processor program (perproc.go) is the case α = 3, a_q = W_q,
+// d_q = u_q.
 type energyObjective struct {
-	w []float64 // task weights (normalized)
-	n int
+	a     []float64
+	n     int // completion times ahead of the d-part
+	alpha float64
+}
+
+func newEnergyObjective(w []float64, alpha float64) *energyObjective {
+	a := make([]float64, len(w))
+	for i, wi := range w {
+		if alpha == 3 {
+			a[i] = wi * wi * wi
+		} else {
+			a[i] = math.Pow(wi, alpha)
+		}
+	}
+	return &energyObjective{a: a, n: len(w), alpha: alpha}
+}
+
+// pow returns d^k for the exponents k = α−1, α, α+1 of the objective and
+// its derivatives: d², d³, d⁴ as plain products at α = 3.
+func (f *energyObjective) pow(d, k float64) float64 {
+	if f.alpha != 3 {
+		return math.Pow(d, k)
+	}
+	switch k {
+	case 2:
+		return d * d
+	case 3:
+		return d * d * d
+	}
+	return d * d * d * d
 }
 
 func (f *energyObjective) Value(x linalg.Vector) float64 {
 	v := 0.0
-	for i := 0; i < f.n; i++ {
-		d := x[f.n+i]
-		v += f.w[i] * f.w[i] * f.w[i] / (d * d)
+	for i, a := range f.a {
+		v += a / f.pow(x[f.n+i], f.alpha-1)
 	}
 	return v
 }
@@ -85,18 +122,14 @@ func (f *energyObjective) Gradient(x, g linalg.Vector) {
 	for i := 0; i < f.n; i++ {
 		g[i] = 0
 	}
-	for i := 0; i < f.n; i++ {
-		d := x[f.n+i]
-		w3 := f.w[i] * f.w[i] * f.w[i]
-		g[f.n+i] = -2 * w3 / (d * d * d)
+	for i, a := range f.a {
+		g[f.n+i] = -(f.alpha - 1) * a / f.pow(x[f.n+i], f.alpha)
 	}
 }
 
 func (f *energyObjective) Hessian(x linalg.Vector, h *linalg.Matrix) {
-	for i := 0; i < f.n; i++ {
-		d := x[f.n+i]
-		w3 := f.w[i] * f.w[i] * f.w[i]
-		h.Add(f.n+i, f.n+i, 6*w3/(d*d*d*d))
+	for i, a := range f.a {
+		h.Add(f.n+i, f.n+i, f.alpha*(f.alpha-1)*a/f.pow(x[f.n+i], f.alpha+1))
 	}
 }
 
@@ -104,10 +137,8 @@ func (f *energyObjective) HessianDiag(x, h linalg.Vector) {
 	for i := 0; i < f.n; i++ {
 		h[i] = 0
 	}
-	for i := 0; i < f.n; i++ {
-		d := x[f.n+i]
-		w3 := f.w[i] * f.w[i] * f.w[i]
-		h[f.n+i] = 6 * w3 / (d * d * d * d)
+	for i, a := range f.a {
+		h[f.n+i] = f.alpha * (f.alpha - 1) * a / f.pow(x[f.n+i], f.alpha+1)
 	}
 }
 
@@ -117,38 +148,51 @@ func (f *energyObjective) HessianDiag(x, h linalg.Vector) {
 // tᵢ − dᵢ ≥ rᵢ; a warm start (opts.Warm) only changes where centering
 // begins.
 func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (*Solution, error) {
+	speeds, release, st, err := p.solveGP(smax, 3, opts)
+	if err != nil {
+		return nil, err
+	}
+	m, err := model.NewContinuous(smax)
+	if err != nil {
+		return nil, err
+	}
+	return p.solutionFromSpeedsAt(m, speeds, release, st)
+}
+
+// solveGP solves the geometric program under power s^alpha and returns
+// the speeds, the release vector they honour (nil when no task has a
+// positive release) and the solve's Stats. A deadline the fastest
+// schedule only just meets, and a speed band of one admissible speed,
+// are answered without the interior point.
+func (p *Problem) solveGP(smax, alpha float64, opts ContinuousOptions) ([]float64, []float64, Stats, error) {
 	if !(smax > 0) {
-		return nil, model.ErrBadSMax
+		return nil, nil, Stats{}, model.ErrBadSMax
 	}
 	if opts.SMin < 0 || opts.SMin > smax*(1+1e-12) {
-		return nil, model.ErrBadRange
+		return nil, nil, Stats{}, model.ErrBadRange
 	}
 	if err := p.CheckFeasibleFrom(smax, opts.Release); err != nil {
-		return nil, err
+		return nil, nil, Stats{}, err
 	}
 	release := opts.Release
 	if release != nil && !hasRelease(release) {
 		release = nil
 	}
-	// Degenerate band: a single admissible speed.
-	if opts.SMin > 0 && opts.SMin >= smax*(1-1e-12) {
-		speeds := make([]float64, p.G.N())
+	n := p.G.N()
+	allMax := func(algorithm string) ([]float64, []float64, Stats, error) {
+		speeds := make([]float64, n)
 		for i := range speeds {
 			speeds[i] = smax
 		}
-		m, _ := model.NewContinuous(smax)
-		return p.solutionFromSpeedsAt(m, speeds, release, Stats{Algorithm: "continuous-degenerate-band", Exact: true, BoundFactor: 1})
+		return speeds, release, Stats{Algorithm: algorithm, Exact: true, BoundFactor: 1}, nil
 	}
-	n := p.G.N()
-	cpw, err := p.G.CriticalPathWeight()
+	// Degenerate band: a single admissible speed.
+	if opts.SMin > 0 && opts.SMin >= smax*(1-1e-12) {
+		return allMax("continuous-degenerate-band")
+	}
+	wn, cpw, sCap, err := p.normalize(smax, alpha)
 	if err != nil {
-		return nil, err
-	}
-	// Normalize: time unit = D, work unit = cpw. Normalized weights wᵢ/cpw,
-	// deadline 1, speed cap smax·D/cpw, energies scale by D²/cpw³.
-	wn := make([]float64, n)
-	for i := 0; i < n; i++ {
-		wn[i] = p.G.Weight(i) / cpw
+		return nil, nil, Stats{}, err
 	}
 	var rn []float64
 	if release != nil {
@@ -158,23 +202,6 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 				rn[i] = release[i] / p.Deadline
 			}
 		}
-	}
-	sCap := smax * p.Deadline / cpw
-	if math.IsInf(smax, 1) {
-		// Rigorous speed cap for the unconstrained case: in any optimum,
-		// wᵢ·sᵢ² ≤ E* ≤ E(all at cpw/D) = Σwⱼ·(cpw/D)², so
-		// sᵢ ≤ sqrt(Σwⱼ/wᵢ)·cpw/D. Normalized: sᵢ' ≤ sqrt(Σwⱼ'/wᵢ').
-		// A single global cap with 4x headroom keeps the cap rows slack at
-		// the true optimum for every task.
-		totalN := 0.0
-		minW := math.Inf(1)
-		for _, w := range wn {
-			totalN += w
-			if w < minW {
-				minW = w
-			}
-		}
-		sCap = 4 * math.Sqrt(totalN/minW)
 	}
 	// If the deadline is (numerically) tight, return the all-smax solution.
 	if !math.IsInf(smax, 1) {
@@ -189,12 +216,7 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 			dmin, _ = p.G.MakespanFrom(fastest, release)
 		}
 		if dmin >= p.Deadline*(1-1e-9) {
-			speeds := make([]float64, n)
-			for i := range speeds {
-				speeds[i] = smax
-			}
-			m, _ := model.NewContinuous(smax)
-			return p.solutionFromSpeedsAt(m, speeds, release, Stats{Algorithm: "continuous-tight-deadline", Exact: true, BoundFactor: 1})
+			return allMax("continuous-tight-deadline")
 		}
 	}
 
@@ -246,73 +268,18 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 		}
 	}
 
-	// Strictly feasible start. Warm path: durations from the previous
-	// speed vector, clamped into the admissible band and shrunk a hair so
-	// every constraint is strictly slack — centering then begins next to
-	// the optimum. Cold path (and warm fallback): fastest durations lo
-	// give makespan M* < 1; inflate durations by μ = λ^(1/3) and finish
-	// times by ν = λ^(1/3) (λ = 1/M*), which keeps every constraint
-	// strictly slack. Release-dominated paths scale sublinearly in the
-	// durations, so both inflations remain valid with rn present.
-	x0 := p.warmStartPoint(opts.Warm, wn, lo, hi, rn)
-	warmStarted := x0 != nil
-	if x0 == nil {
-		mstar, err := p.G.MakespanFrom(lo, rn)
-		if err != nil {
-			return nil, err
-		}
-		if mstar >= 1 {
-			return nil, fmt.Errorf("%w: normalized fastest makespan %.9g ≥ 1", ErrInfeasible, mstar)
-		}
-		lambda := 1 / mstar
-		mu := math.Cbrt(lambda)
-		nu := math.Cbrt(lambda)
-		d0 := make([]float64, n)
-		for i := range d0 {
-			d0[i] = mu * lo[i]
-			if hi != nil && d0[i] >= hi[i] {
-				// Stay strictly inside the duration band; the geometric mean is
-				// strictly between lo and hi and only shortens d0, so the path
-				// constraints keep their slack.
-				d0[i] = math.Sqrt(lo[i] * hi[i])
-			}
-		}
-		pa, err := p.G.AnalyzeFrom(d0, rn, 1)
-		if err != nil {
-			return nil, err
-		}
-		x0 = linalg.NewVector(2 * n)
-		for i := 0; i < n; i++ {
-			x0[i] = nu * pa.EarliestFinish[i]
-			x0[n+i] = d0[i]
+	// Strictly feasible start: from the previous speeds when a usable warm
+	// start is given, otherwise the cold construction.
+	x0 := p.warmStartPoint(opts.Warm, lo, hi, rn)
+	warm := x0 != nil
+	if !warm {
+		if x0, _, err = p.coldStart(lo, hi, rn); err != nil {
+			return nil, nil, Stats{}, err
 		}
 	}
-
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	obj := &energyObjective{w: wn, n: n}
-	// Request the duality gap (sᵀλ in the primal-dual kernel, m/t in the
-	// dense barrier oracle) small relative to the objective scale
-	// (normalized energies are O(1)). Warm starts begin next to the
-	// optimum, so AutoT0 starts the kernel at a gap matched to the point's
-	// own centrality instead of re-walking the whole path from μ₀ = 1 —
-	// that is what makes a warm re-solve cheaper than a cold one.
-	copts := convex.Options{
-		Tol:      tol * math.Max(1, obj.Value(x0)),
-		AutoT0:   warmStarted,
-		Workers:  opts.Workers,
-		Ordering: opts.Ordering,
-	}
-	var res *convex.Result
-	if opts.DenseKernel {
-		res, err = convex.Minimize(obj, ker.a.Dense(), b, x0, copts)
-	} else {
-		res, err = ker.prog.Minimize(obj, b, x0, copts)
-	}
+	res, err := minimizeGP(newEnergyObjective(wn, alpha), ker.a, ker.prog, b, x0, warm, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: continuous solve failed: %w", err)
+		return nil, nil, Stats{}, fmt.Errorf("core: continuous solve failed: %w", err)
 	}
 	speeds := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -327,30 +294,141 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 			speeds[i] = opts.SMin
 		}
 	}
-	m, err := model.NewContinuous(smax)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := p.solutionFromSpeedsAt(m, speeds, release, Stats{
+	return speeds, release, Stats{
 		Algorithm:             "continuous-interior-point",
 		Newton:                res.Newton,
 		Exact:                 true, // up to the numeric gap
 		BoundFactor:           1,
 		PrecedenceRowsDropped: ker.rowsDropped,
-	})
+	}, nil
+}
+
+// normalize rescales the instance so every quantity of the program is
+// O(1) — time unit D, work unit the critical-path weight cpw — and returns
+// the normalized weights wᵢ/cpw, cpw, and the normalized speed cap
+// smax·D/cpw. For smax = ∞ it returns a cap no optimum reaches under power
+// s^alpha: in any optimum wᵢ·sᵢ^(α−1) ≤ E* ≤ E(all at cpw/D) =
+// Σwⱼ·(cpw/D)^(α−1), so sᵢ ≤ (Σwⱼ/wᵢ)^(1/(α−1))·cpw/D, and one global cap
+// with 4× headroom keeps the cap rows slack at the optimum for every task.
+func (p *Problem) normalize(smax, alpha float64) ([]float64, float64, float64, error) {
+	cpw, err := p.G.CriticalPathWeight()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	wn := make([]float64, p.G.N())
+	for i := range wn {
+		wn[i] = p.G.Weight(i) / cpw
+	}
+	sCap := smax * p.Deadline / cpw
+	if math.IsInf(smax, 1) {
+		totalN := 0.0
+		minW := math.Inf(1)
+		for _, w := range wn {
+			totalN += w
+			if w < minW {
+				minW = w
+			}
+		}
+		if alpha == 3 {
+			sCap = 4 * math.Sqrt(totalN/minW)
+		} else {
+			sCap = 4 * math.Pow(totalN/minW, 1/(alpha-1))
+		}
+	}
+	return wn, cpw, sCap, nil
+}
+
+// minimizeGP runs the interior point on the normalized program A·x ≤ b
+// from the strictly feasible x0: the dense log-barrier oracle when
+// opts.DenseKernel is set, otherwise the sparse primal-dual kernel (prog,
+// or compiled here from a when prog is nil). The duality gap (sᵀλ in the
+// primal-dual kernel, m/t in the dense barrier oracle) is requested small
+// relative to the objective scale at x0 (normalized energies are O(1)).
+// Warm starts begin next to the optimum, so AutoT0 starts the kernel at a
+// gap matched to the point's own centrality instead of re-walking the
+// whole path from μ₀ = 1 — that is what makes a warm re-solve cheaper than
+// a cold one.
+func minimizeGP(obj interface {
+	convex.Objective
+	convex.DiagObjective
+}, a *linalg.CSR, prog *convex.SparseProgram, b, x0 linalg.Vector, warm bool, opts ContinuousOptions) (*convex.Result, error) {
+	tol := opts.Tol
+	if tol == 0 {
+		tol = 1e-10
+	}
+	copts := convex.Options{
+		Tol:      tol * math.Max(1, obj.Value(x0)),
+		AutoT0:   warm,
+		Workers:  opts.Workers,
+		Ordering: opts.Ordering,
+	}
+	if opts.DenseKernel {
+		return convex.Minimize(obj, a.Dense(), b, x0, copts)
+	}
+	if prog == nil {
+		prog = convex.CompileSparse(a, len(x0), copts)
+	}
+	return prog.Minimize(obj, b, x0, copts)
+}
+
+// coldStart is the interior start without warm data. The fastest
+// durations lo give normalized makespan M* < 1; inflating durations and
+// finish times by the same μ = (1/M*)^(1/3) keeps every constraint
+// strictly slack, and release-dominated paths scale sublinearly in the
+// durations, so the inflation stays valid with rn present. Durations stay
+// strictly below hi. It returns the (t, d) start and μ.
+func (p *Problem) coldStart(lo, hi, rn []float64) (linalg.Vector, float64, error) {
+	mstar, err := p.G.MakespanFrom(lo, rn)
+	if err != nil {
+		return nil, 0, err
+	}
+	if mstar >= 1 {
+		return nil, 0, fmt.Errorf("%w: normalized fastest makespan %.9g ≥ 1", ErrInfeasible, mstar)
+	}
+	mu := math.Cbrt(1 / mstar)
+	d0 := make([]float64, len(lo))
+	for i := range d0 {
+		d0[i] = mu * lo[i]
+		if hi != nil && d0[i] >= hi[i] {
+			// Stay strictly inside the duration band; the geometric mean is
+			// strictly between lo and hi and only shortens d0, so the path
+			// constraints keep their slack.
+			d0[i] = math.Sqrt(lo[i] * hi[i])
+		}
+	}
+	x0, err := p.startPoint(d0, rn, mstar)
+	return x0, mu, err
+}
+
+// startPoint assembles the interior start (t, d) from durations d: finish
+// times are the earliest ones under d and rn, stretched by ν = (1/m)^(1/3)
+// > 1, which opens strict slack on every precedence and release row. The
+// caller picks m < 1 so that ν·makespan(d) < 1: the makespan of d itself
+// (warm start), or that of the durations d inflates by ν (cold start).
+func (p *Problem) startPoint(d, rn []float64, m float64) (linalg.Vector, error) {
+	nu := math.Cbrt(1 / m)
+	pa, err := p.G.AnalyzeFrom(d, rn, 1)
 	if err != nil {
 		return nil, err
 	}
-	return sol, nil
+	n := len(d)
+	x0 := linalg.NewVector(2 * n)
+	for i := 0; i < n; i++ {
+		x0[i] = nu * pa.EarliestFinish[i]
+		x0[n+i] = d[i]
+	}
+	return x0, nil
 }
 
 // warmStartPoint builds a strictly feasible interior-point start from a
-// previous speed vector (normalized coordinates). Returns nil when no warm
-// data is available or it cannot be made strictly feasible — the caller
-// falls back to the cold construction. The returned point never changes the
-// optimum, only where centering begins.
-func (p *Problem) warmStartPoint(warm *WarmStart, wn, lo, hi, rn []float64) linalg.Vector {
-	n := len(wn)
+// previous speed vector (normalized coordinates): durations at the previous
+// speeds, clamped into the admissible band and shrunk a hair so every
+// constraint is strictly slack — centering then begins next to the
+// optimum. Returns nil when no warm data is available or it cannot be made
+// strictly feasible — the caller falls back to the cold construction. The
+// returned point never changes the optimum, only where centering begins.
+func (p *Problem) warmStartPoint(warm *WarmStart, lo, hi, rn []float64) linalg.Vector {
+	n := len(lo)
 	if warm == nil || len(warm.Speeds) != n {
 		return nil
 	}
@@ -386,17 +464,9 @@ func (p *Problem) warmStartPoint(warm *WarmStart, wn, lo, hi, rn []float64) lina
 	if err != nil || ms >= 1-1e-12 {
 		return nil
 	}
-	// Inflate finishes by ν > 1 to open strict slack on every precedence
-	// and release row while keeping tᵢ ≤ ν·makespan < 1.
-	nu := math.Cbrt(1 / ms)
-	pa, err := p.G.AnalyzeFrom(d, rn, 1)
+	x0, err := p.startPoint(d, rn, ms)
 	if err != nil {
 		return nil
-	}
-	x0 := linalg.NewVector(2 * n)
-	for i := 0; i < n; i++ {
-		x0[i] = nu * pa.EarliestFinish[i]
-		x0[n+i] = d[i]
 	}
 	return x0
 }

@@ -172,7 +172,7 @@ func TestEquivalentWeightAlgebra(t *testing.T) {
 	// Series(0, Parallel(1, 2)): W = 2 + (1+27)^(1/3).
 	e := graph.SPSeriesOf(graph.SPLeaf(0), graph.SPParallelOf(graph.SPLeaf(1), graph.SPLeaf(2)))
 	want := 2 + math.Cbrt(28)
-	if got := EquivalentWeight(g, e); relDiff(got, want) > 1e-12 {
+	if got := EquivalentWeight(g, e, 3); relDiff(got, want) > 1e-12 {
 		t.Fatalf("W = %v, want %v", got, want)
 	}
 }

@@ -120,11 +120,11 @@ func TestSolutionFromSpeedsRejectsBadSpeeds(t *testing.T) {
 
 func TestAlphaSolutionRejectsInfeasibleSpeeds(t *testing.T) {
 	p, _ := NewProblem(diamondGraph(), 1) // cpw 8: speeds 1 cannot fit
-	if _, err := p.alphaSolutionFromSpeeds([]float64{1, 1, 1, 1}, 3, Stats{}); err == nil {
+	if _, err := p.alphaSolutionFromSpeeds([]float64{1, 1, 1, 1}, nil, 3, Stats{}); err == nil {
 		t.Fatal("accepted deadline-violating α speeds")
 	}
 	p2, _ := NewProblem(diamondGraph(), 100)
-	if _, err := p2.alphaSolutionFromSpeeds([]float64{0, 1, 1, 1}, 3, Stats{}); err == nil {
+	if _, err := p2.alphaSolutionFromSpeeds([]float64{0, 1, 1, 1}, nil, 3, Stats{}); err == nil {
 		t.Fatal("accepted zero α speed")
 	}
 }

@@ -13,10 +13,11 @@ import (
 // structure/value axis: the constraint matrix A over x = (t, d) has only
 // ±1 entries whose placement is fixed by the (transitively reduced)
 // precedence structure and by whether a lower speed bound adds the
-// duration-ceiling rows — the weights, deadline, and release times reach
-// the solver exclusively through the right-hand side b, the objective,
-// and the start point. compileContinuousKernel captures everything on the
-// structure side, so requests that differ only in values reuse the
+// duration-ceiling rows — the weights, deadline, release times and power
+// exponent reach the solver exclusively through the right-hand side b,
+// the objective, and the start point. compileContinuousKernel, the only
+// code that emits these rows, captures everything on the structure side,
+// so requests that differ only in values reuse the
 // transitive reduction, the CSR assembly, the fill-reducing ordering, and
 // the symbolic factorization.
 

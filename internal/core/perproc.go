@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/convex"
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/platform"
@@ -21,50 +20,11 @@ import (
 //
 //	Σ_i wᵢ·σ_{proc(i)}² = Σ_q W_q / u_q²,  W_q = Σ_{i on q} wᵢ,
 //
-// is convex in u > 0: the same interior-point machinery applies with P
-// variables instead of n.
-
-// perProcObjective is Σ_q W_q / u_q² over x = (t₁..tₙ, u₁..u_P).
-type perProcObjective struct {
-	procWeight []float64 // total task weight per processor (normalized)
-	n          int
-}
-
-func (f *perProcObjective) Value(x linalg.Vector) float64 {
-	v := 0.0
-	for q, w := range f.procWeight {
-		u := x[f.n+q]
-		v += w / (u * u)
-	}
-	return v
-}
-
-func (f *perProcObjective) Gradient(x, g linalg.Vector) {
-	for i := range g {
-		g[i] = 0
-	}
-	for q, w := range f.procWeight {
-		u := x[f.n+q]
-		g[f.n+q] = -2 * w / (u * u * u)
-	}
-}
-
-func (f *perProcObjective) Hessian(x linalg.Vector, h *linalg.Matrix) {
-	for q, w := range f.procWeight {
-		u := x[f.n+q]
-		h.Add(f.n+q, f.n+q, 6*w/(u*u*u*u))
-	}
-}
-
-func (f *perProcObjective) HessianDiag(x, h linalg.Vector) {
-	for i := range h {
-		h[i] = 0
-	}
-	for q, w := range f.procWeight {
-		u := x[f.n+q]
-		h[f.n+q] = 6 * w / (u * u * u * u)
-	}
-}
+// is convex in u > 0: the geometric program of continuous.go with P
+// variables instead of n, and its objective with W_q in place of wᵢ³.
+// Only the (t, u) rows below are this extension's own; the normalization,
+// the cold start, the objective and the solve are the per-task program's
+// (normalize, coldStart, energyObjective, minimizeGP).
 
 // SolvePerProcessorContinuous finds the optimal single continuous speed per
 // processor for the given mapping (which must be the mapping that produced
@@ -83,61 +43,37 @@ func (p *Problem) SolvePerProcessorContinuous(m *platform.Mapping, smax float64,
 	n := p.G.N()
 	np := m.NumProcs()
 	procOf := m.ProcOf()
-
-	cpw, err := p.G.CriticalPathWeight()
+	wn, cpw, sCap, err := p.normalize(smax, 3)
 	if err != nil {
 		return nil, err
-	}
-	// Normalization as in SolveContinuousNumeric: time unit D, work unit cpw.
-	wn := make([]float64, n)
-	for i := 0; i < n; i++ {
-		wn[i] = p.G.Weight(i) / cpw
 	}
 	procW := make([]float64, np)
 	for i := 0; i < n; i++ {
 		procW[procOf[i][0]] += wn[i]
 	}
-	// Skip processors with no tasks: pin their u to 1 via a dummy bound by
-	// giving them zero weight (objective ignores them) and box constraints.
-	sCapN := smax * p.Deadline / cpw
-	uLo := 1 / sCapN // u ≥ 1/smax (normalized)
-	if math.IsInf(smax, 1) {
-		// Bound speeds as in the per-task case.
-		totalN := 0.0
-		minW := math.Inf(1)
-		for _, w := range wn {
-			totalN += w
-			if w < minW {
-				minW = w
-			}
-		}
-		uLo = 1 / (4 * math.Sqrt(totalN/minW))
-	}
+	uLo := 1 / sCap // u ≥ 1/smax (normalized)
 
-	// Feasible-start scaling, needed below to box idle processors: fastest
-	// durations lo give normalized makespan mstar < 1; durations and finish
-	// times are inflated by μ = ν = (1/mstar)^(1/3).
+	// Strictly feasible start: the per-task cold start at the fastest
+	// durations wᵢ·uLo, every processor slowed by the same factor μ > 1.
 	lo := make([]float64, n)
 	for i := range lo {
 		lo[i] = wn[i] * uLo
 	}
-	mstar, err := p.G.Makespan(lo)
+	td, mu, err := p.coldStart(lo, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if mstar >= 1 {
-		return nil, fmt.Errorf("%w: normalized fastest makespan %.9g ≥ 1", ErrInfeasible, mstar)
+	x0 := linalg.NewVector(n + np)
+	copy(x0, td[:n])
+	for q := 0; q < np; q++ {
+		x0[n+q] = mu * uLo
 	}
-	lambda := 1 / mstar
-	mu := math.Cbrt(lambda)
-	nu := math.Cbrt(lambda)
 
 	// Constraints over x = (t, u): edges, start, deadline, uLo ≤ u ≤ uHi.
 	// The upper bound exists so idle processors' u (absent from both the
 	// objective and the scheduling constraints) cannot drift unboundedly
 	// inside the interior point; for busy processors it is implied by the deadline
 	// and therefore harmless.
-	uHi := make([]float64, np)
 	wmax := make([]float64, np)
 	for i := 0; i < n; i++ {
 		q := procOf[i][0]
@@ -146,9 +82,8 @@ func (p *Problem) SolvePerProcessorContinuous(m *platform.Mapping, smax float64,
 		}
 	}
 	edges := p.G.Edges()
-	rows := len(edges) + n + n + 2*np
 	ab := linalg.NewCSRBuilder(n + np)
-	b := linalg.NewVector(rows)
+	b := linalg.NewVector(len(edges) + n + n + 2*np)
 	r := 0
 	for _, e := range edges { // t_u + w_v·u_{p(v)} − t_v ≤ 0
 		ab.Set(e[0], 1)
@@ -177,47 +112,17 @@ func (p *Problem) SolvePerProcessorContinuous(m *platform.Mapping, smax float64,
 	}
 	for q := 0; q < np; q++ { // u_q ≤ uHi_q
 		if wmax[q] > 0 {
-			uHi[q] = 1 / wmax[q] // duration w·u ≤ 1 forces this anyway
+			b[r] = 1 / wmax[q] // duration w·u ≤ 1 forces this anyway
 		} else {
-			uHi[q] = 2 * mu * uLo // idle processor: value irrelevant, boxed around x0
+			b[r] = 2 * mu * uLo // idle processor: value irrelevant, boxed around x0
 		}
 		ab.Set(n+q, 1)
 		ab.EndRow()
-		b[r] = uHi[q]
 		r++
 	}
-	a := ab.Build()
 
-	// Strictly feasible start: all processors slightly slower than smax,
-	// finish times stretched, exactly as in the per-task solver.
-	d0 := make([]float64, n)
-	for i := range d0 {
-		d0[i] = mu * lo[i]
-	}
-	pa, err := p.G.Analyze(d0, 1)
-	if err != nil {
-		return nil, err
-	}
-	x0 := linalg.NewVector(n + np)
-	for i := 0; i < n; i++ {
-		x0[i] = nu * pa.EarliestFinish[i]
-	}
-	for q := 0; q < np; q++ {
-		x0[n+q] = mu * uLo
-	}
-
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	obj := &perProcObjective{procWeight: procW, n: n}
-	copts := convex.Options{Tol: tol * math.Max(1, obj.Value(x0))}
-	var res *convex.Result
-	if opts.DenseKernel {
-		res, err = convex.Minimize(obj, a.Dense(), b, x0, copts)
-	} else {
-		res, err = convex.SparseMinimize(obj, a, b, x0, copts)
-	}
+	obj := &energyObjective{a: procW, n: n, alpha: 3} // Σ_q W_q/u_q²
+	res, err := minimizeGP(obj, ab.Build(), nil, b, x0, false, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: per-processor solve failed: %w", err)
 	}

@@ -20,46 +20,56 @@ import (
 // The fork of Theorem 1 is the special case Series(T0, Parallel(T1..Tn)):
 // W = w₀ + (Σ wᵢ³)^(1/3), matching the paper's s₀ = W/D. Trees convert to SP
 // expressions (graph.TreeToSP), so this one recursion covers chains, forks,
-// joins, trees, and all series-parallel execution graphs in O(n).
+// joins, trees, and all series-parallel execution graphs in O(n). Under
+// power s^α (alpha.go) only the parallel rule changes, to
+// W = (W₁^α + W₂^α)^(1/α); the recursion takes α and keeps the cube and
+// cube root at α = 3.
 
-// EquivalentWeight computes the algebra bottom-up over an SP expression,
-// reading task weights from g.
-func EquivalentWeight(g *graph.Graph, e *graph.SPExpr) float64 {
+// EquivalentWeight computes the algebra bottom-up over an SP expression
+// under power s^alpha, reading task weights from g.
+func EquivalentWeight(g *graph.Graph, e *graph.SPExpr, alpha float64) float64 {
 	switch e.Kind {
 	case graph.SPTask:
 		return g.Weight(e.Task)
 	case graph.SPSeries:
 		sum := 0.0
 		for _, c := range e.Children {
-			sum += EquivalentWeight(g, c)
+			sum += EquivalentWeight(g, c, alpha)
 		}
 		return sum
 	default: // SPParallel
-		cubes := 0.0
+		pows := 0.0
 		for _, c := range e.Children {
-			w := EquivalentWeight(g, c)
-			cubes += w * w * w
+			w := EquivalentWeight(g, c, alpha)
+			if alpha == 3 {
+				pows += w * w * w
+			} else {
+				pows += math.Pow(w, alpha)
+			}
 		}
-		return math.Cbrt(cubes)
+		if alpha == 3 {
+			return math.Cbrt(pows)
+		}
+		return math.Pow(pows, 1/alpha)
 	}
 }
 
 // assignSPSpeeds walks the expression top-down, splitting the window of
 // every series node in proportion to its children's equivalent weights, and
 // setting each leaf's speed to (leaf weight)/(its window).
-func assignSPSpeeds(g *graph.Graph, e *graph.SPExpr, window float64, speeds []float64) {
+func assignSPSpeeds(g *graph.Graph, e *graph.SPExpr, window, alpha float64, speeds []float64) {
 	switch e.Kind {
 	case graph.SPTask:
 		speeds[e.Task] = g.Weight(e.Task) / window
 	case graph.SPSeries:
-		total := EquivalentWeight(g, e)
+		total := EquivalentWeight(g, e, alpha)
 		for _, c := range e.Children {
-			share := window * EquivalentWeight(g, c) / total
-			assignSPSpeeds(g, c, share, speeds)
+			share := window * EquivalentWeight(g, c, alpha) / total
+			assignSPSpeeds(g, c, share, alpha, speeds)
 		}
 	default: // SPParallel
 		for _, c := range e.Children {
-			assignSPSpeeds(g, c, window, speeds)
+			assignSPSpeeds(g, c, window, alpha, speeds)
 		}
 	}
 }
@@ -75,7 +85,7 @@ func (p *Problem) SolveSPContinuous(e *graph.SPExpr, smax float64) (*Solution, e
 		return nil, fmt.Errorf("core: SP expression covers %d of %d tasks", e.Size(), p.G.N())
 	}
 	speeds := make([]float64, p.G.N())
-	assignSPSpeeds(p.G, e, p.Deadline, speeds)
+	assignSPSpeeds(p.G, e, p.Deadline, 3, speeds)
 	for i, s := range speeds {
 		if s > smax*(1+1e-12) {
 			return nil, fmt.Errorf("core: SP closed form needs speed %.9g > smax %.9g on task %d (use the numeric solver)", s, smax, i)
@@ -91,7 +101,7 @@ func (p *Problem) SolveSPContinuous(e *graph.SPExpr, smax float64) (*Solution, e
 // SPOptimalEnergy returns the closed-form optimal energy W³/D² of an SP
 // expression (smax = ∞).
 func (p *Problem) SPOptimalEnergy(e *graph.SPExpr) float64 {
-	w := EquivalentWeight(p.G, e)
+	w := EquivalentWeight(p.G, e, 3)
 	return w * w * w / (p.Deadline * p.Deadline)
 }
 

@@ -150,10 +150,8 @@ func (r *SolveRequest) compile() (*instance, error) {
 	if algo == "" {
 		algo = AlgoAuto
 	}
-	switch algo {
-	case AlgoAuto, AlgoBB, AlgoSP, AlgoGreedy, AlgoRoundUp, AlgoApprox:
-	default:
-		return nil, badRequest("unknown algorithm %q", r.Algorithm)
+	if err := core.CheckSelector(mdl.Kind, algo); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	// K only matters on the Theorem 5 approximation paths; normalize it to
 	// zero everywhere else so it can't fragment the cache for solvers that

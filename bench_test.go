@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// One benchmark per table/figure of the experiment suite (see DESIGN.md §3
-// and EXPERIMENTS.md). Each iteration regenerates the experiment at Quick
-// scale; run cmd/experiments for the full-size report.
+// One benchmark per table/figure of the experiment suite (listed in the
+// internal/exps package doc). Each iteration regenerates the experiment at
+// Quick scale; run cmd/experiments for the full-size report.
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
@@ -41,7 +41,7 @@ func BenchmarkFigure3DeltaSweep(b *testing.B)    { benchExperiment(b, "F3") }
 func BenchmarkFigure4KSweep(b *testing.B)        { benchExperiment(b, "F4") }
 func BenchmarkFigure5Scaling(b *testing.B)       { benchExperiment(b, "F5") }
 
-// Ablation benches: the design choices DESIGN.md calls out.
+// Ablation benches: the design choices of ablations A1–A4.
 func BenchmarkAblationGranularity(b *testing.B) { benchExperiment(b, "A1") }
 func BenchmarkAblationAlpha(b *testing.B)       { benchExperiment(b, "A2") }
 func BenchmarkAblationMapping(b *testing.B)     { benchExperiment(b, "A3") }

@@ -1,6 +1,6 @@
-// Command experiments regenerates the full evaluation suite (tables T1–T5
-// and figures F1–F5 of DESIGN.md): Markdown to stdout and one CSV per
-// experiment into --out.
+// Command experiments regenerates the full evaluation suite (tables T1–T5,
+// figures F1–F5 and ablations A1–A4, listed in the internal/exps package
+// doc): Markdown to stdout and one CSV per experiment into --out.
 //
 // Usage:
 //

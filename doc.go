@@ -110,10 +110,10 @@
 // preallocated; a regression test pins the iteration at 0 allocs/op). The
 // dense log-barrier method remains available behind
 // ContinuousOptions{DenseKernel: true} as the reference oracle the
-// property suite checks the sparse path against (equal to 1e-9 across
-// all workload families and solve-option variants). In practice this
-// moves the interior point from topping out around 256 tasks to solving
-// 2048-task instances in a tenth of a second.
+// property suites check the sparse path against (to 1e-9 on one instance
+// per workload family and variant; README names the pipeline exception).
+// In practice this moves the interior point from topping out around 256
+// tasks to solving 2048-task instances in a tenth of a second.
 //
 // # Serving layer
 //
@@ -232,6 +232,6 @@
 // large-N gate, and `make bench-huge` the out-of-core tier locally.
 //
 // Everything is pure Go, standard library only. The experiment harness in
-// cmd/experiments regenerates the comparative study described in DESIGN.md
-// and EXPERIMENTS.md.
+// cmd/experiments regenerates the comparative study (T1–T5, F1–F5, A1–A4)
+// listed in the internal/exps package doc.
 package energysched

@@ -44,7 +44,7 @@ func compileContinuousKernel(g *graph.Graph, hasHi bool, opts ContinuousOptions,
 	// u→v alongside u→w→v. Every duration is strictly positive, so the
 	// u→v row is strictly implied by the u→w and w→v rows and the
 	// transitive reduction defines the same feasible set with fewer
-	// constraint rows. Sparse graphs skip the O(n·m) reduction cost.
+	// constraint rows. Sparse graphs skip the reduction's n²-bit closure.
 	edges := g.Edges()
 	rowsDropped := 0
 	if len(edges) > 2*n {

@@ -46,7 +46,7 @@ func (c Class) String() string {
 
 // Shape is what Classify recognizes in a component graph: the class plus
 // the by-products the structured solvers reuse, so SolveRoute never pays
-// the O(n²·m) recognition a second time.
+// the transitive reduction and SP recognition a second time.
 type Shape struct {
 	Class Class
 	// Expr is the series-parallel expression: over the graph itself for

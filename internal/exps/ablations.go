@@ -10,8 +10,8 @@ import (
 	"repro/internal/platform"
 )
 
-// Ablations: design choices DESIGN.md calls out, quantified. These go
-// beyond the paper's text but use only its machinery.
+// Ablations A1–A4 (listed in the package doc): design choices,
+// quantified. These go beyond the paper's text but use only its machinery.
 
 // AblationGranularity (A1) asks what the paper's per-*task* speeds buy over
 // the coarser control real chips expose: one speed per processor, or one

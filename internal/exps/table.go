@@ -1,8 +1,28 @@
 // Package exps is the experiment harness: it regenerates, for every table
-// and figure listed in DESIGN.md, the rows/series a paper evaluation would
+// and figure listed below, the rows/series a paper evaluation would
 // report. The brief announcement itself has no evaluation section, so this
 // suite is the comparative study its conclusion announces — every empirical
 // claim traces back to one of the five theorems or Proposition 1.
+//
+// The experiments, by Table ID and Title, in All's report order:
+//
+//	T1  Theorem 1: fork closed form vs numeric optimum
+//	T2  Theorem 2: tree/SP equivalent-weight algebra vs numeric optimum
+//	T3  Theorem 3: Vdd-Hopping LP optimum within the model hierarchy
+//	T4  Theorem 4: exponential exact search vs polynomial LP/convex solves
+//	T5  Theorem 5: measured approximation ratio vs proven bound
+//	F1  Energy relative to Continuous vs deadline factor β (D = β·Dmin)
+//	F2  Energy relative to Continuous vs number of modes m
+//	F3  Incremental-optimum energy ratio vs δ, against the (1+δ/smin)² bound
+//	F4  Theorem 5 algorithm: measured ratio vs K, with bound
+//	F5  Solver wall-clock time (ms) vs n
+//	A1  Speed-control granularity: per-task vs per-processor vs global (continuous optima)
+//	A2  Power exponent α: closed form vs numeric, and the reclaiming gain
+//	A3  Mapping sensitivity: continuous-optimal energy for three given mappings (same absolute deadline)
+//	A4  Vdd-Hopping vs Incremental: energy vs mid-task switching (ratios to continuous)
+//
+// T1–T5 live in experiments.go, F1–F5 in figures.go and A1–A4 in
+// ablations.go; cmd/experiments runs the suite.
 package exps
 
 import (

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -90,7 +91,8 @@ func FuzzGraphCanonical(f *testing.F) {
 	})
 }
 
-// FuzzDecomposeSP checks the SP recognizer never panics and never
+// FuzzDecomposeSP checks the SP recognizer never panics, agrees with the
+// prefix-scan oracle on the verdict and the expression, and never
 // mis-recognizes: when it claims an expression, re-materializing must
 // reproduce the input edge set exactly.
 func FuzzDecomposeSP(f *testing.F) {
@@ -117,6 +119,9 @@ func FuzzDecomposeSP(f *testing.F) {
 			}
 		}
 		expr, ok := DecomposeSP(g)
+		if want, wok := decomposeSPPrefixScan(g); ok != wok || !reflect.DeepEqual(expr, want) {
+			t.Fatalf("DecomposeSP = %v (%v), prefix scan = %v (%v)", expr, ok, want, wok)
+		}
 		if !ok {
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -216,9 +217,79 @@ func TestAnalyzeDurationMismatch(t *testing.T) {
 	}
 }
 
+// transitiveClosureReach is the n×n boolean closure TransitiveReduction
+// used before its bitset rows, kept as their oracle: reach[u][v] reports a
+// path from u to v (u itself excluded). O(n·m) time, n² bytes.
+func transitiveClosureReach(g *Graph) ([][]bool, error) {
+	n := g.N()
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	reach := make([][]bool, n)
+	for i := range reach {
+		reach[i] = make([]bool, n)
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		u := order[k]
+		for _, v := range g.succ[u] {
+			reach[u][v] = true
+			for w := 0; w < n; w++ {
+				if reach[v][w] {
+					reach[u][w] = true
+				}
+			}
+		}
+	}
+	return reach, nil
+}
+
+// transitiveReductionReach is the reduction over the boolean closure: it
+// keeps g's edge order, as the bitset reduction must.
+func transitiveReductionReach(g *Graph) [][2]int {
+	reach, err := transitiveClosureReach(g)
+	if err != nil {
+		return nil
+	}
+	out := [][2]int{}
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.succ[u] {
+			redundant := false
+			for _, w := range g.succ[u] {
+				if w != v && reach[w][v] {
+					redundant = true
+					break
+				}
+			}
+			if !redundant {
+				out = append(out, [2]int{u, v})
+			}
+		}
+	}
+	return out
+}
+
+// TestTransitiveReductionMatchesBoolClosure pins the bitset reduction to
+// the boolean-closure one edge for edge, in the same order, on every
+// generator (shortcut-heavy GnpDAG included) and on sizes that straddle
+// the 64-bit word boundary.
+func TestTransitiveReductionMatchesBoolClosure(t *testing.T) {
+	for _, c := range generatorCases() {
+		for _, g := range c.graphs {
+			got, err := g.TransitiveReduction()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := transitiveReductionReach(g); !reflect.DeepEqual(got.Edges(), want) {
+				t.Fatalf("%s (n=%d, m=%d): bitset reduction %v, boolean closure %v", c.name, g.N(), g.M(), got.Edges(), want)
+			}
+		}
+	}
+}
+
 func TestTransitiveClosureReach(t *testing.T) {
 	g := mustDiamond(t)
-	reach, err := g.TransitiveClosureReach()
+	reach, err := transitiveClosureReach(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +315,8 @@ func TestTransitiveReduction(t *testing.T) {
 		t.Fatalf("reduced M = %d, want 4", r.M())
 	}
 	// Reduction preserves reachability.
-	before, _ := g.TransitiveClosureReach()
-	after, _ := r.TransitiveClosureReach()
+	before, _ := transitiveClosureReach(g)
+	after, _ := transitiveClosureReach(r)
 	for u := range before {
 		for v := range before[u] {
 			if before[u][v] != after[u][v] {

@@ -149,30 +149,3 @@ func (g *Graph) AllPathsWithin(durations []float64, deadline, tol float64) (bool
 	}
 	return ms <= deadline+tol, nil
 }
-
-// TransitiveClosureReach returns, for each task, the set of tasks reachable
-// from it (excluding itself) as a boolean matrix reach[u][v]. O(n·m) — meant
-// for analysis and tests, not hot paths.
-func (g *Graph) TransitiveClosureReach() ([][]bool, error) {
-	n := g.N()
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-	}
-	for k := len(order) - 1; k >= 0; k-- {
-		u := order[k]
-		for _, v := range g.succ[u] {
-			reach[u][v] = true
-			for w := 0; w < n; w++ {
-				if reach[v][w] {
-					reach[u][w] = true
-				}
-			}
-		}
-	}
-	return reach, nil
-}

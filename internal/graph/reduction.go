@@ -2,24 +2,41 @@ package graph
 
 // TransitiveReduction returns a copy of g with every redundant edge removed:
 // an edge (u, v) is redundant when some other path u → … → v exists. For a
-// DAG the transitive reduction is unique. O(n·m) via reachability.
+// DAG the transitive reduction is unique. The reachability closure is a
+// bitset of ⌈n/64⌉ words per task, filled in reverse topological order:
+// O(n·m/64) word operations and n²/8 bytes. Kept edges come out in g's
+// edge order.
 //
 // The SP recognizer (DecomposeSP) expects its input in reduced form; callers
 // holding graphs with synthesized shortcut edges should reduce first.
 func (g *Graph) TransitiveReduction() (*Graph, error) {
-	reach, err := g.TransitiveClosureReach()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	n := g.N()
+	words := (n + 63) / 64
+	reach := make([]uint64, n*words) // row u: the tasks reachable from u
+	row := func(u int) []uint64 { return reach[u*words : (u+1)*words] }
+	for k := n - 1; k >= 0; k-- {
+		u := order[k]
+		ru := row(u)
+		for _, v := range g.succ[u] {
+			ru[v/64] |= 1 << (v % 64)
+			for i, w := range row(v) {
+				ru[i] |= w
+			}
+		}
+	}
 	c := New()
-	for i := 0; i < g.N(); i++ {
+	for i := 0; i < n; i++ {
 		c.AddTask(g.names[i], g.weights[i])
 	}
-	for u := 0; u < g.N(); u++ {
+	for u := 0; u < n; u++ {
 		for _, v := range g.succ[u] {
 			redundant := false
 			for _, w := range g.succ[u] {
-				if w != v && reach[w][v] {
+				if w != v && row(w)[v/64]&(1<<(v%64)) != 0 {
 					redundant = true
 					break
 				}

@@ -1,9 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -192,183 +192,170 @@ func MaterializeSP(e *SPExpr, weights []float64) (*Graph, error) {
 	return g, nil
 }
 
-// DecomposeSP attempts to recover an SP expression from a DAG. It returns
-// (expr, true) when g is a series-parallel order materialized as its
-// transitive reduction (as produced by MaterializeSP), and (nil, false)
-// otherwise.
+// DecomposeSP recovers the SP expression of a DAG. It returns (expr, true)
+// when g is a series-parallel order materialized as its transitive
+// reduction (as MaterializeSP produces), and (nil, false) otherwise — a
+// graph carrying shortcut edges is rejected, so callers reduce first.
 //
-// The algorithm splits recursively: a weakly disconnected graph is a
-// parallel composition of its components; otherwise a connected graph with
-// more than one task must (in an SP order) admit a series cut at some
-// prefix of any topological order, where the crossing edges are exactly
-// sinks(prefix) × sources(suffix). The smallest valid cut is taken and both
-// sides recurse. Worst-case O(n²·m), intended for n up to a few thousand.
+// The recognizer runs in O(n+m), after Valdes, Tarjan and Lawler ("The
+// recognition of series parallel digraphs", SIAM J. Comput. 11(2), 1982):
+// g is the Hasse diagram of an SP order exactly when it is the line
+// digraph of a two-terminal series-parallel multigraph. Each task becomes
+// an arc from its entry junction to its exit junction; an edge u → v fuses
+// exit(u) with entry(v), every source's entry fuses with the terminal S
+// and every sink's exit with the terminal T. g is the line digraph when
+// each task's successors are all the entries of its exit junction; an
+// N-shaped order fails here. Series reductions (a junction with one arc
+// in and one out) and parallel reductions (two arcs with the same ends)
+// then leave a single S → T arc exactly when the multigraph is
+// series-parallel, and that arc's label is the expression. Parallel
+// children come in the order of their first task in g.TopoOrder().
 func DecomposeSP(g *Graph) (*SPExpr, bool) {
+	n := g.N()
 	order, err := g.TopoOrder()
-	if err != nil {
+	if n == 0 || err != nil {
 		return nil, false
 	}
-	all := make([]int, g.N())
-	copy(all, order)
-	return decomposeSubset(g, all)
-}
-
-// decomposeSubset decomposes the induced subgraph on nodes (given in a
-// topological order of g restricted to the subset).
-func decomposeSubset(g *Graph, nodes []int) (*SPExpr, bool) {
-	if len(nodes) == 0 {
-		return nil, false
+	// Junctions by union-find: entry(t) = t, exit(t) = n+t, S = 2n, T = 2n+1.
+	parent := make([]int, 2*n+2)
+	for i := range parent {
+		parent[i] = i
 	}
-	if len(nodes) == 1 {
-		return SPLeaf(nodes[0]), true
-	}
-	inSet := make(map[int]bool, len(nodes))
-	for _, u := range nodes {
-		inSet[u] = true
-	}
-	// Parallel split: weakly connected components within the subset.
-	comps := componentsWithin(g, nodes, inSet)
-	if len(comps) > 1 {
-		children := make([]*SPExpr, 0, len(comps))
-		for _, comp := range comps {
-			sub := restrictTopo(nodes, comp)
-			c, ok := decomposeSubset(g, sub)
-			if !ok {
-				return nil, false
-			}
-			children = append(children, c)
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
 		}
-		return SPParallelOf(children...), true
+		return x
 	}
-	// Series split: try prefixes of the topological order.
-	inPrefix := make(map[int]bool, len(nodes))
-	for k := 1; k < len(nodes); k++ {
-		inPrefix[nodes[k-1]] = true
-		if validSeriesCut(g, nodes, inSet, inPrefix, k) {
-			left, ok := decomposeSubset(g, nodes[:k])
-			if !ok {
-				return nil, false
-			}
-			right, ok := decomposeSubset(g, nodes[k:])
-			if !ok {
-				return nil, false
-			}
-			return SPSeriesOf(left, right), true
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	for u := 0; u < n; u++ {
+		if len(g.pred[u]) == 0 {
+			union(2*n, u)
+		}
+		if len(g.succ[u]) == 0 {
+			union(n+u, 2*n+1)
+		}
+		for _, v := range g.succ[u] {
+			union(n+u, v)
 		}
 	}
-	return nil, false
-}
+	// Line-digraph test. Every edge out of u lands in exit(u)'s junction,
+	// on distinct tasks, so u reaches all of that junction's entries
+	// exactly when it has as many successors as the junction has entries.
+	entries := make([]int, 2*n+2)
+	for v := 0; v < n; v++ {
+		entries[find(v)]++
+	}
+	for u := 0; u < n; u++ {
+		if len(g.succ[u]) != entries[find(n+u)] {
+			return nil, false
+		}
+	}
 
-// componentsWithin returns weakly connected components of the induced
-// subgraph, each as a sorted-id slice.
-func componentsWithin(g *Graph, nodes []int, inSet map[int]bool) [][]int {
-	comp := make(map[int]int, len(nodes))
-	var comps [][]int
-	for _, start := range nodes {
-		if _, done := comp[start]; done {
+	// The multigraph keeps one live arc per (tail, head) pair; a second
+	// one folds into it as a parallel composition. A junction's in-arc and
+	// out-arc ID sums name its only arcs once its degrees are 1 and 1. Arc
+	// labels are binary expression nodes, the first n of them the tasks;
+	// first is the least topological position among a node's tasks.
+	type node struct {
+		kind               SPKind
+		left, right, first int
+	}
+	type arc struct{ tail, head, node int }
+	type junction struct{ in, out, inSum, outSum int }
+	nodes := make([]node, n, 2*n)
+	for pos, t := range order {
+		nodes[t] = node{SPTask, t, -1, pos}
+	}
+	compose := func(kind SPKind, l, r int) int {
+		nodes = append(nodes, node{kind, l, r, min(nodes[l].first, nodes[r].first)})
+		return len(nodes) - 1
+	}
+	arcs := make([]arc, 0, 2*n)
+	between := make(map[[2]int]int, n)
+	js := make([]junction, 2*n+2)
+	link := func(a, d int) { // d = +1 adds arc a to its ends, -1 removes it
+		u, w := arcs[a].tail, arcs[a].head
+		js[u].out, js[u].outSum = js[u].out+d, js[u].outSum+d*a
+		js[w].in, js[w].inSum = js[w].in+d, js[w].inSum+d*a
+	}
+	add := func(u, w, x int) {
+		if a, ok := between[[2]int{u, w}]; ok {
+			arcs[a].node = compose(SPParallel, arcs[a].node, x)
+			return
+		}
+		between[[2]int{u, w}] = len(arcs)
+		arcs = append(arcs, arc{u, w, x})
+		link(len(arcs)-1, 1)
+	}
+	var work []int // every junction but T is some task's entry
+	for t := 0; t < n; t++ {
+		add(find(t), find(n+t), t)
+		work = append(work, find(t))
+	}
+	for len(work) > 0 { // S has no in-arcs and T no out-arcs: never reduced
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		if js[v].in != 1 || js[v].out != 1 {
 			continue
 		}
-		id := len(comps)
-		var members []int
-		stack := []int{start}
-		comp[start] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, u)
-			for _, v := range g.Succ(u) {
-				if inSet[v] {
-					if _, done := comp[v]; !done {
-						comp[v] = id
-						stack = append(stack, v)
-					}
-				}
-			}
-			for _, v := range g.Pred(u) {
-				if inSet[v] {
-					if _, done := comp[v]; !done {
-						comp[v] = id
-						stack = append(stack, v)
-					}
-				}
-			}
+		a, b := js[v].inSum, js[v].outSum
+		for _, x := range [2]int{a, b} {
+			delete(between, [2]int{arcs[x].tail, arcs[x].head})
+			link(x, -1)
 		}
-		sort.Ints(members)
-		comps = append(comps, members)
+		u, w := arcs[a].tail, arcs[b].head
+		add(u, w, compose(SPSeries, arcs[a].node, arcs[b].node))
+		work = append(work, u, w)
 	}
-	return comps
-}
+	last, ok := between[[2]int{find(2 * n), find(2*n + 1)}]
+	if !ok || len(between) != 1 {
+		return nil, false
+	}
 
-// restrictTopo filters the topologically ordered slice nodes to members of
-// keep (given sorted by ID), preserving topological order.
-func restrictTopo(nodes []int, keep []int) []int {
-	in := make(map[int]bool, len(keep))
-	for _, u := range keep {
-		in[u] = true
-	}
-	out := make([]int, 0, len(keep))
-	for _, u := range nodes {
-		if in[u] {
-			out = append(out, u)
+	// Flatten the binary tree top down: the children of a series (parallel)
+	// node are its maximal non-series (non-parallel) subtrees, left to
+	// right; parallel children are then ordered by first position.
+	expr := func(x int) *SPExpr {
+		if nodes[x].kind == SPTask {
+			return SPLeaf(nodes[x].left)
 		}
+		return &SPExpr{Kind: nodes[x].kind}
 	}
-	return out
-}
-
-// validSeriesCut checks that splitting the subset at prefix length k yields
-// a series composition: the crossing edges are exactly
-// sinks(prefix) × sources(suffix).
-func validSeriesCut(g *Graph, nodes []int, inSet, inPrefix map[int]bool, k int) bool {
-	// Identify sinks of the prefix (no successor inside prefix) and sources
-	// of the suffix (no predecessor inside suffix).
-	var sinks, srcs []int
-	for _, u := range nodes[:k] {
-		isSink := true
-		for _, v := range g.Succ(u) {
-			if inSet[v] && inPrefix[v] {
-				isSink = false
-				break
+	type job struct {
+		x int
+		e *SPExpr
+	}
+	root := expr(arcs[last].node)
+	jobs := []job{{arcs[last].node, root}}
+	var walk, kids []int
+	for len(jobs) > 0 {
+		j := jobs[len(jobs)-1]
+		jobs = jobs[:len(jobs)-1]
+		if j.e.Kind == SPTask {
+			continue
+		}
+		walk, kids = append(walk[:0], j.x), kids[:0]
+		for len(walk) > 0 {
+			x := walk[len(walk)-1]
+			walk = walk[:len(walk)-1]
+			if nodes[x].kind == j.e.Kind {
+				walk = append(walk, nodes[x].right, nodes[x].left)
+			} else {
+				kids = append(kids, x)
 			}
 		}
-		if isSink {
-			sinks = append(sinks, u)
+		if j.e.Kind == SPParallel {
+			slices.SortFunc(kids, func(a, b int) int { return cmp.Compare(nodes[a].first, nodes[b].first) })
+		}
+		j.e.Children = make([]*SPExpr, len(kids))
+		for i, x := range kids {
+			j.e.Children[i] = expr(x)
+			jobs = append(jobs, job{x, j.e.Children[i]})
 		}
 	}
-	for _, u := range nodes[k:] {
-		isSrc := true
-		for _, v := range g.Pred(u) {
-			if inSet[v] && !inPrefix[v] {
-				isSrc = false
-				break
-			}
-		}
-		if isSrc {
-			srcs = append(srcs, u)
-		}
-	}
-	isSinkSet := make(map[int]bool, len(sinks))
-	for _, u := range sinks {
-		isSinkSet[u] = true
-	}
-	isSrcSet := make(map[int]bool, len(srcs))
-	for _, u := range srcs {
-		isSrcSet[u] = true
-	}
-	// Every crossing edge must go sink → source; count them to verify the
-	// bipartite set is complete.
-	crossing := 0
-	for _, u := range nodes[:k] {
-		for _, v := range g.Succ(u) {
-			if !inSet[v] || inPrefix[v] {
-				continue
-			}
-			if !isSinkSet[u] || !isSrcSet[v] {
-				return false
-			}
-			crossing++
-		}
-	}
-	return crossing == len(sinks)*len(srcs)
+	return root, true
 }
 
 // ChainExpr returns the SP expression of a chain over the given task IDs.

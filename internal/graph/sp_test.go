@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,327 @@ func TestSPRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// decomposeSPPrefixScan is the recognizer DecomposeSP replaced, kept as
+// its oracle. It splits recursively: a weakly disconnected graph is a
+// parallel composition of its components; otherwise a connected graph with
+// more than one task must (in an SP order) admit a series cut at some
+// prefix of any topological order, where the crossing edges are exactly
+// sinks(prefix) × sources(suffix). The smallest valid cut is taken and both
+// sides recurse. Worst-case O(n²·m).
+func decomposeSPPrefixScan(g *Graph) (*SPExpr, bool) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, false
+	}
+	all := make([]int, g.N())
+	copy(all, order)
+	return decomposeSubset(g, all)
+}
+
+// decomposeSubset decomposes the induced subgraph on nodes (given in a
+// topological order of g restricted to the subset).
+func decomposeSubset(g *Graph, nodes []int) (*SPExpr, bool) {
+	if len(nodes) == 0 {
+		return nil, false
+	}
+	if len(nodes) == 1 {
+		return SPLeaf(nodes[0]), true
+	}
+	inSet := make(map[int]bool, len(nodes))
+	for _, u := range nodes {
+		inSet[u] = true
+	}
+	// Parallel split: weakly connected components within the subset.
+	comps := componentsWithin(g, nodes, inSet)
+	if len(comps) > 1 {
+		children := make([]*SPExpr, 0, len(comps))
+		for _, comp := range comps {
+			sub := restrictTopo(nodes, comp)
+			c, ok := decomposeSubset(g, sub)
+			if !ok {
+				return nil, false
+			}
+			children = append(children, c)
+		}
+		return SPParallelOf(children...), true
+	}
+	// Series split: try prefixes of the topological order.
+	inPrefix := make(map[int]bool, len(nodes))
+	for k := 1; k < len(nodes); k++ {
+		inPrefix[nodes[k-1]] = true
+		if validSeriesCut(g, nodes, inSet, inPrefix, k) {
+			left, ok := decomposeSubset(g, nodes[:k])
+			if !ok {
+				return nil, false
+			}
+			right, ok := decomposeSubset(g, nodes[k:])
+			if !ok {
+				return nil, false
+			}
+			return SPSeriesOf(left, right), true
+		}
+	}
+	return nil, false
+}
+
+// componentsWithin returns weakly connected components of the induced
+// subgraph, each as a sorted-id slice.
+func componentsWithin(g *Graph, nodes []int, inSet map[int]bool) [][]int {
+	comp := make(map[int]int, len(nodes))
+	var comps [][]int
+	for _, start := range nodes {
+		if _, done := comp[start]; done {
+			continue
+		}
+		id := len(comps)
+		var members []int
+		stack := []int{start}
+		comp[start] = id
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			members = append(members, u)
+			for _, v := range g.Succ(u) {
+				if inSet[v] {
+					if _, done := comp[v]; !done {
+						comp[v] = id
+						stack = append(stack, v)
+					}
+				}
+			}
+			for _, v := range g.Pred(u) {
+				if inSet[v] {
+					if _, done := comp[v]; !done {
+						comp[v] = id
+						stack = append(stack, v)
+					}
+				}
+			}
+		}
+		sort.Ints(members)
+		comps = append(comps, members)
+	}
+	return comps
+}
+
+// restrictTopo filters the topologically ordered slice nodes to members of
+// keep (given sorted by ID), preserving topological order.
+func restrictTopo(nodes []int, keep []int) []int {
+	in := make(map[int]bool, len(keep))
+	for _, u := range keep {
+		in[u] = true
+	}
+	out := make([]int, 0, len(keep))
+	for _, u := range nodes {
+		if in[u] {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// validSeriesCut checks that splitting the subset at prefix length k yields
+// a series composition: the crossing edges are exactly
+// sinks(prefix) × sources(suffix).
+func validSeriesCut(g *Graph, nodes []int, inSet, inPrefix map[int]bool, k int) bool {
+	// Identify sinks of the prefix (no successor inside prefix) and sources
+	// of the suffix (no predecessor inside suffix).
+	var sinks, srcs []int
+	for _, u := range nodes[:k] {
+		isSink := true
+		for _, v := range g.Succ(u) {
+			if inSet[v] && inPrefix[v] {
+				isSink = false
+				break
+			}
+		}
+		if isSink {
+			sinks = append(sinks, u)
+		}
+	}
+	for _, u := range nodes[k:] {
+		isSrc := true
+		for _, v := range g.Pred(u) {
+			if inSet[v] && !inPrefix[v] {
+				isSrc = false
+				break
+			}
+		}
+		if isSrc {
+			srcs = append(srcs, u)
+		}
+	}
+	isSinkSet := make(map[int]bool, len(sinks))
+	for _, u := range sinks {
+		isSinkSet[u] = true
+	}
+	isSrcSet := make(map[int]bool, len(srcs))
+	for _, u := range srcs {
+		isSrcSet[u] = true
+	}
+	// Every crossing edge must go sink → source; count them to verify the
+	// bipartite set is complete.
+	crossing := 0
+	for _, u := range nodes[:k] {
+		for _, v := range g.Succ(u) {
+			if !inSet[v] || inPrefix[v] {
+				continue
+			}
+			if !isSinkSet[u] || !isSrcSet[v] {
+				return false
+			}
+			crossing++
+		}
+	}
+	return crossing == len(sinks)*len(srcs)
+}
+
+// checkAgainstPrefixScan fails when DecomposeSP and the prefix-scan oracle
+// disagree on g: on ok, or on the expression. Both flatten, both order
+// series children by execution and parallel children by their first task
+// in g.TopoOrder(), so the expressions must be equal node for node — which
+// also keeps every answer computed from them bit-identical.
+func checkAgainstPrefixScan(t *testing.T, what string, g *Graph) bool {
+	t.Helper()
+	got, ok := DecomposeSP(g)
+	want, wok := decomposeSPPrefixScan(g)
+	if ok != wok || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s (n=%d, edges %v): DecomposeSP = %v (%v), prefix scan = %v (%v)", what, g.N(), g.Edges(), got, ok, want, wok)
+	}
+	return ok
+}
+
+// generatorCase is one generator of this package drawn at several sizes
+// and seeds.
+type generatorCase struct {
+	name   string
+	graphs []*Graph
+}
+
+// generatorCases draws every generator in the package at sizes that
+// straddle the 64-task word of the bitset closure, three seeds each.
+func generatorCases() []generatorCase {
+	w := UniformWeights(1, 5)
+	var cases []generatorCase
+	add := func(name string, gen func(rng *rand.Rand, n int) *Graph) {
+		c := generatorCase{name: name}
+		for _, n := range []int{1, 2, 3, 5, 12, 40, 63, 64, 65, 130} {
+			for seed := int64(1); seed <= 3; seed++ {
+				c.graphs = append(c.graphs, gen(rand.New(rand.NewSource(seed*1000+int64(n))), n))
+			}
+		}
+		cases = append(cases, c)
+	}
+	add("chain", func(rng *rand.Rand, n int) *Graph { return Chain(rng, n, w) })
+	add("fork", func(rng *rand.Rand, n int) *Graph { return Fork(rng, n, w) })
+	add("join", func(rng *rand.Rand, n int) *Graph { return Join(rng, n, w) })
+	add("forkjoin", func(rng *rand.Rand, n int) *Graph { return ForkJoin(rng, 1+n/4, 1+rng.Intn(4), w) })
+	add("layered", func(rng *rand.Rand, n int) *Graph { return Layered(rng, 1+n/6, 1+rng.Intn(6), 0.3, w) })
+	add("gnp-sparse", func(rng *rand.Rand, n int) *Graph { return GnpDAG(rng, n, 0.1, w) })
+	add("gnp-dense", func(rng *rand.Rand, n int) *Graph { return GnpDAG(rng, n, 0.5, w) })
+	add("outtree", func(rng *rand.Rand, n int) *Graph { return RandomOutTree(rng, n, w) })
+	add("intree", func(rng *rand.Rand, n int) *Graph { return RandomInTree(rng, n, w) })
+	add("sp", func(rng *rand.Rand, n int) *Graph { g, _ := RandomSP(rng, n, w); return g })
+	add("lu", func(_ *rand.Rand, n int) *Graph { return LUElimination(1+n/20, 1) })
+	add("stencil", func(rng *rand.Rand, n int) *Graph { return Stencil(1+rng.Intn(6), 1+n/6, 1) })
+	add("fft", func(_ *rand.Rand, n int) *Graph { return FFT(1+n/40, 1) })
+	add("mapreduce", func(rng *rand.Rand, n int) *Graph { return MapReduce(1+n/8, 1+rng.Intn(4), 1, 2) })
+	add("pipeline", func(rng *rand.Rand, n int) *Graph {
+		stages := 1 + rng.Intn(5)
+		return Pipeline(stages, 1+n/8, make([]float64, stages))
+	})
+	return cases
+}
+
+// TestDecomposeSPMatchesPrefixScan runs the recognizer and its oracle over
+// every generator, each graph as drawn and transitively reduced.
+func TestDecomposeSPMatchesPrefixScan(t *testing.T) {
+	for _, c := range generatorCases() {
+		accepted := 0
+		for _, g := range c.graphs {
+			red, err := g.TransitiveReduction()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checkAgainstPrefixScan(t, c.name, g) {
+				accepted++
+			}
+			checkAgainstPrefixScan(t, c.name+" reduced", red)
+		}
+		t.Logf("%-10s %2d of %d graphs series-parallel", c.name, accepted, len(c.graphs))
+	}
+}
+
+// TestDecomposeSPNearMisses aims at the near misses by following every
+// edge of random SP graphs: each graph is checked with one random forward
+// edge added (forward in a topological order of the graph), and with each
+// of its edges removed in turn.
+func TestDecomposeSPNearMisses(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 300; i++ {
+		g, _ := RandomSP(rng, 2+rng.Intn(30), UniformWeights(1, 5))
+		order, _ := g.TopoOrder()
+		a, b := rng.Intn(g.N()), rng.Intn(g.N())
+		if a > b {
+			a, b = b, a
+		}
+		if u, v := order[a], order[b]; a != b && !g.HasEdge(u, v) {
+			plus := g.Clone()
+			plus.MustAddEdge(u, v)
+			checkAgainstPrefixScan(t, "sp plus an edge", plus)
+		}
+		edges := g.Edges()
+		for k := range edges {
+			minus := New()
+			minus.AddTasks(g.N(), 1)
+			for j, f := range edges {
+				if j != k {
+					minus.MustAddEdge(f[0], f[1])
+				}
+			}
+			checkAgainstPrefixScan(t, "sp minus an edge", minus)
+		}
+	}
+}
+
+// TestDecomposeSPAllSmallDAGs checks every DAG on at most six tasks: all
+// forward-edge masks over the task order 0..n-1 (2¹⁵ at n = 6), each as
+// given, transitively reduced, and with its task IDs reversed so edges run
+// from high IDs to low.
+func TestDecomposeSPAllSmallDAGs(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		var pairs [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+		accepted := 0
+		for mask := 0; mask < 1<<len(pairs); mask++ {
+			g, rev := New(), New()
+			g.AddTasks(n, 1)
+			rev.AddTasks(n, 1)
+			for k, p := range pairs {
+				if mask&(1<<k) != 0 {
+					g.MustAddEdge(p[0], p[1])
+					rev.MustAddEdge(n-1-p[0], n-1-p[1])
+				}
+			}
+			if checkAgainstPrefixScan(t, "small", g) {
+				accepted++
+			}
+			if red, _ := g.TransitiveReduction(); red.M() < g.M() {
+				checkAgainstPrefixScan(t, "small reduced", red)
+			}
+			checkAgainstPrefixScan(t, "small reversed IDs", rev)
+			if t.Failed() {
+				return
+			}
+		}
+		t.Logf("n=%d: %d of %d edge masks series-parallel", n, accepted, 1<<len(pairs))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -134,20 +135,7 @@ func run() error {
 		return fmt.Errorf("solution failed verification: %w", err)
 	}
 
-	fmt.Printf("solver: %s\n", sol.Stats.Algorithm)
-	fmt.Printf("energy: %.6g   makespan: %.6g / %.6g\n", sol.Energy, sol.Schedule.Makespan, D)
-	if sol.Stats.Nodes > 0 {
-		fmt.Printf("branch-and-bound nodes: %d\n", sol.Stats.Nodes)
-	}
-	if sol.Stats.Pivots > 0 {
-		fmt.Printf("simplex pivots: %d\n", sol.Stats.Pivots)
-	}
-	if sol.Stats.Newton > 0 {
-		fmt.Printf("newton iterations: %d\n", sol.Stats.Newton)
-	}
-	if !sol.Stats.Exact && !math.IsInf(sol.Stats.BoundFactor, 1) {
-		fmt.Printf("approximation guarantee: within %.4g× of optimal\n", sol.Stats.BoundFactor)
-	}
+	printSummary(os.Stdout, sol, D)
 	printSpeeds(prob, sol)
 	if *report {
 		rep, err := sol.Schedule.BuildReport(mapping)
@@ -172,6 +160,29 @@ func run() error {
 		return printJSON(sol)
 	}
 	return nil
+}
+
+// printSummary prints the solver, energy and makespan, and the solver's
+// diagnostics: work counters, the certified lower bound with the gap it
+// leaves, and an approximation's a-priori guarantee.
+func printSummary(w io.Writer, sol *core.Solution, D float64) {
+	fmt.Fprintf(w, "solver: %s\n", sol.Stats.Algorithm)
+	fmt.Fprintf(w, "energy: %.6g   makespan: %.6g / %.6g\n", sol.Energy, sol.Schedule.Makespan, D)
+	if sol.Stats.Nodes > 0 {
+		fmt.Fprintf(w, "branch-and-bound nodes: %d\n", sol.Stats.Nodes)
+	}
+	if sol.Stats.Pivots > 0 {
+		fmt.Fprintf(w, "simplex pivots: %d\n", sol.Stats.Pivots)
+	}
+	if sol.Stats.Newton > 0 {
+		fmt.Fprintf(w, "newton iterations: %d\n", sol.Stats.Newton)
+	}
+	if lb := sol.Stats.LowerBound; lb > 0 {
+		fmt.Fprintf(w, "lower bound: %.6g (gap %.2g)\n", lb, (sol.Energy-lb)/sol.Energy)
+	}
+	if !sol.Stats.Exact && !math.IsInf(sol.Stats.BoundFactor, 1) {
+		fmt.Fprintf(w, "approximation guarantee: within %.4g× of optimal\n", sol.Stats.BoundFactor)
+	}
 }
 
 // runReplay streams a jittered execution through a reclaiming session and

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -240,4 +243,52 @@ func TestSolveAutoRunsThePlan(t *testing.T) {
 		t.Fatalf("auto solved with %s (energy %.9g), the plan routes %s (energy %.9g)",
 			sol.Stats.Algorithm, sol.Energy, pl.Components[0].Solver, want.Energy)
 	}
+}
+
+// TestSummaryPrintsCertificate: an interior-point answer prints its
+// certified lower bound and gap. The instance is the one
+// `-gen layered -n 128 -procs 128 -factor 1.4 -solver numeric` builds.
+func TestSummaryPrintsCertificate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := loadOrGenerate("", "layered", 128, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping, err := buildMapping(g, "list", 128, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eg, err := platform.BuildExecutionGraph(g, mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmin, err := eg.MinimalDeadline(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(eg, dmin*1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := model.NewContinuous(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := solve(p, cm, "numeric", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	printSummary(&out, sol, p.Deadline)
+	for _, line := range strings.Split(out.String(), "\n") {
+		var lb, gap float64
+		if _, err := fmt.Sscanf(line, "lower bound: %g (gap %g)", &lb, &gap); err != nil {
+			continue
+		}
+		if !(lb > 0) || gap < 0 || gap > 1e-9 {
+			t.Fatalf("lower bound %g, gap %g: want a gap in [0, 1e-9]\n%s", lb, gap, out.String())
+		}
+		return
+	}
+	t.Fatalf("no lower bound line in\n%s", out.String())
 }

@@ -104,16 +104,16 @@
 // for the instance at hand. With ContinuousOptions.Workers > 1 the
 // numeric factorization runs independent elimination-tree subtrees
 // concurrently and stays bit-identical to the sequential result. One
-// iteration costs O(nnz(L)) instead of the dense path's O(m·n²) assembly
-// plus O(n³) Cholesky, and performs zero heap allocations sequentially or
-// in parallel (the iterate, slack, multiplier and direction vectors are
-// preallocated; a regression test pins the iteration at 0 allocs/op). The
-// dense log-barrier method remains available behind
-// ContinuousOptions{DenseKernel: true} as the reference oracle the
-// property suites check the sparse path against (to 1e-9 on one instance
-// per workload family and variant; README names the pipeline exception).
-// In practice this moves the interior point from topping out around 256
-// tasks to solving 2048-task instances in a tenth of a second.
+// iteration costs O(nnz(L)) and performs zero heap allocations
+// sequentially or in parallel (the iterate, slack, multiplier and
+// direction vectors are preallocated; a regression test pins the
+// iteration at 0 allocs/op). Every answer certifies itself: the kernel
+// returns its final multipliers, and their Lagrangian dual, reported as
+// Stats.LowerBound, bounds the optimal energy from below, so
+// Energy − LowerBound bounds the answer's suboptimality without a second
+// solver. In practice this moves the interior point from topping out
+// around 256 tasks (the dense log-barrier method it replaced) to solving
+// 2048-task instances in a tenth of a second.
 //
 // # Serving layer
 //

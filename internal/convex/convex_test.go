@@ -26,10 +26,8 @@ func (f *quadratic) Gradient(x, g linalg.Vector) {
 	}
 }
 
-func (f *quadratic) Hessian(x linalg.Vector, h *linalg.Matrix) {
-	for i := range x {
-		h.Add(i, i, f.q[i])
-	}
+func (f *quadratic) HessianDiag(x, h linalg.Vector) {
+	copy(h, f.q)
 }
 
 // powerSum is f(d) = Σ wᵢ³/dᵢ², the continuous-model energy in durations.
@@ -51,30 +49,30 @@ func (f *powerSum) Gradient(x, g linalg.Vector) {
 	}
 }
 
-func (f *powerSum) Hessian(x linalg.Vector, h *linalg.Matrix) {
+func (f *powerSum) HessianDiag(x, h linalg.Vector) {
 	for i := range x {
-		h.Add(i, i, 6*math.Pow(f.w[i], 3)/math.Pow(x[i], 4))
+		h[i] = 6 * math.Pow(f.w[i], 3) / math.Pow(x[i], 4)
 	}
 }
 
-func TestUnconstrainedQuadratic(t *testing.T) {
-	// min 0.5(x² + 2y²) - (x + 2y): optimum x=1, y=1.
-	f := &quadratic{q: linalg.Vector{1, 2}, p: linalg.Vector{1, 2}}
-	res, err := Minimize(f, nil, nil, linalg.Vector{5, -3}, Options{})
-	if err != nil {
-		t.Fatal(err)
+// rows builds a CSR constraint matrix from dense rows.
+func rows(n int, rs ...[]float64) *linalg.CSR {
+	cb := linalg.NewCSRBuilder(n)
+	for _, r := range rs {
+		for j, v := range r {
+			if v != 0 {
+				cb.Set(j, v)
+			}
+		}
+		cb.EndRow()
 	}
-	if math.Abs(res.X[0]-1) > 1e-6 || math.Abs(res.X[1]-1) > 1e-6 {
-		t.Fatalf("x = %v, want [1 1]", res.X)
-	}
+	return cb.Build()
 }
 
 func TestActiveBoxConstraint(t *testing.T) {
 	// min 0.5 x² - 4x s.t. x <= 2: unconstrained optimum 4, so x*=2.
 	f := &quadratic{q: linalg.Vector{1}, p: linalg.Vector{4}}
-	a := linalg.NewMatrix(1, 1)
-	a.Set(0, 0, 1)
-	res, err := Minimize(f, a, linalg.Vector{2}, linalg.Vector{0.5}, Options{})
+	res, err := SparseMinimize(f, rows(1, []float64{1}), linalg.Vector{2}, linalg.Vector{0.5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +84,7 @@ func TestActiveBoxConstraint(t *testing.T) {
 func TestInactiveConstraint(t *testing.T) {
 	// min 0.5 x² - x s.t. x <= 100: optimum 1, interior.
 	f := &quadratic{q: linalg.Vector{1}, p: linalg.Vector{1}}
-	a := linalg.NewMatrix(1, 1)
-	a.Set(0, 0, 1)
-	res, err := Minimize(f, a, linalg.Vector{100}, linalg.Vector{3}, Options{})
+	res, err := SparseMinimize(f, rows(1, []float64{1}), linalg.Vector{100}, linalg.Vector{3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +94,18 @@ func TestInactiveConstraint(t *testing.T) {
 }
 
 func TestInfeasibleStartRejected(t *testing.T) {
+	// The start must be strictly feasible: on the boundary is not enough.
 	f := &quadratic{q: linalg.Vector{1}, p: linalg.Vector{0}}
-	a := linalg.NewMatrix(1, 1)
-	a.Set(0, 0, 1)
-	if _, err := Minimize(f, a, linalg.Vector{1}, linalg.Vector{2}, Options{}); err == nil {
+	if _, err := SparseMinimize(f, rows(1, []float64{1}), linalg.Vector{1}, linalg.Vector{1}, Options{}); err == nil {
 		t.Fatal("expected infeasible-start error")
 	}
 }
 
 func TestDimensionMismatch(t *testing.T) {
+	// One row but two right-hand sides.
 	f := &quadratic{q: linalg.Vector{1}, p: linalg.Vector{0}}
-	a := linalg.NewMatrix(1, 2)
-	if _, err := Minimize(f, a, linalg.Vector{1}, linalg.Vector{0.5}, Options{}); err == nil {
-		t.Fatal("expected dimension error")
+	if _, err := SparseMinimize(f, rows(1, []float64{1}), linalg.Vector{1, 1}, linalg.Vector{0.5}, Options{}); err != ErrDimension {
+		t.Fatalf("expected ErrDimension, got %v", err)
 	}
 }
 
@@ -122,23 +117,19 @@ func TestChainEnergyClosedForm(t *testing.T) {
 	f := &powerSum{w: linalg.Vector{w1, w2}}
 	// Constraints: d1 + d2 <= D, -d1 <= -lo, -d2 <= -lo (keep away from 0).
 	lo := 1e-4
-	a := linalg.NewMatrix(3, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, -1)
-	a.Set(2, 1, -1)
+	a := rows(2, []float64{1, 1}, []float64{-1, 0}, []float64{0, -1})
 	b := linalg.Vector{D, -lo, -lo}
 	x0 := linalg.Vector{D / 4, D / 4}
-	res, err := Minimize(f, a, b, x0, Options{})
+	res, err := SparseMinimize(f, a, b, x0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantE := math.Pow(w1+w2, 3) / (D * D)
-	if math.Abs(res.Value-wantE) > 1e-5*wantE {
+	if math.Abs(res.Value-wantE) > 1e-9*wantE {
 		t.Fatalf("energy = %v, want %v", res.Value, wantE)
 	}
 	wantD1 := w1 * D / (w1 + w2)
-	if math.Abs(res.X[0]-wantD1) > 1e-4 {
+	if math.Abs(res.X[0]-wantD1) > 1e-7 {
 		t.Fatalf("d1 = %v, want %v", res.X[0], wantD1)
 	}
 }
@@ -150,24 +141,25 @@ func TestForkEnergyMatchesTheorem1(t *testing.T) {
 	D := 5.0
 	n := len(w) - 1
 	f := &powerSum{w: w}
-	rows := n + len(w)
-	a := linalg.NewMatrix(rows, len(w))
-	b := linalg.NewVector(rows)
+	cb := linalg.NewCSRBuilder(len(w))
+	var b linalg.Vector
 	for i := 0; i < n; i++ {
-		a.Set(i, 0, 1)
-		a.Set(i, i+1, 1)
-		b[i] = D
+		cb.Set(0, 1)
+		cb.Set(i+1, 1)
+		cb.EndRow()
+		b = append(b, D)
 	}
 	lo := 1e-4
-	for j := 0; j < len(w); j++ {
-		a.Set(n+j, j, -1)
-		b[n+j] = -lo
+	for j := range w {
+		cb.Set(j, -1)
+		cb.EndRow()
+		b = append(b, -lo)
 	}
 	x0 := linalg.NewVector(len(w))
 	for j := range x0 {
 		x0[j] = D / 3
 	}
-	res, err := Minimize(f, a, b, x0, Options{})
+	res, err := SparseMinimize(f, cb.Build(), b, x0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,23 +169,30 @@ func TestForkEnergyMatchesTheorem1(t *testing.T) {
 	}
 	s0 := (math.Cbrt(sumCubes) + w[0]) / D
 	wantE := w[0]*s0*s0 + sumCubes/math.Pow(D-w[0]/s0, 2)
-	if math.Abs(res.Value-wantE) > 1e-4*wantE {
+	if math.Abs(res.Value-wantE) > 1e-9*wantE {
 		t.Fatalf("fork energy = %v, want %v (Theorem 1)", res.Value, wantE)
 	}
 }
 
 func TestResultDiagnostics(t *testing.T) {
 	f := &quadratic{q: linalg.Vector{1}, p: linalg.Vector{1}}
-	a := linalg.NewMatrix(1, 1)
-	a.Set(0, 0, 1)
-	res, err := Minimize(f, a, linalg.Vector{10}, linalg.Vector{1}, Options{})
+	a := rows(1, []float64{1}, []float64{-1})
+	res, err := SparseMinimize(f, a, linalg.Vector{10, 10}, linalg.Vector{1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Newton == 0 || res.OuterStages == 0 {
-		t.Fatalf("expected nonzero iteration counters: %+v", res)
+	if res.Newton == 0 {
+		t.Fatalf("expected a nonzero iteration counter: %+v", res)
 	}
 	if res.GapBound > 1e-6 {
 		t.Fatalf("gap bound too large: %v", res.GapBound)
+	}
+	if len(res.Lambda) != a.Rows {
+		t.Fatalf("%d multipliers for %d rows", len(res.Lambda), a.Rows)
+	}
+	// sᵀλ with s = b − A·x is the gap the kernel reports.
+	gap := (10-res.X[0])*res.Lambda[0] + (10+res.X[0])*res.Lambda[1]
+	if !(res.Lambda.Min() > 0) || math.Abs(gap-res.GapBound) > 1e-9*(1+res.GapBound) {
+		t.Fatalf("multipliers %v give gap %g, kernel reports %g", res.Lambda, gap, res.GapBound)
 	}
 }

@@ -7,149 +7,42 @@ import (
 	"repro/internal/linalg"
 )
 
-// logSumExp is a smooth convex non-quadratic objective:
-// f(x) = log(Σ exp(aᵢᵀx + bᵢ)). Its optimum over a box is a good stress of
-// the line search (steep far away, flat near the bottom).
-type logSumExp struct {
-	a [][]float64
-	b []float64
-}
-
-func (f *logSumExp) terms(x linalg.Vector) []float64 {
-	out := make([]float64, len(f.a))
-	for i := range f.a {
-		s := f.b[i]
-		for j, aij := range f.a[i] {
-			s += aij * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func (f *logSumExp) Value(x linalg.Vector) float64 {
-	ts := f.terms(x)
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	s := 0.0
-	for _, t := range ts {
-		s += math.Exp(t - m)
-	}
-	return m + math.Log(s)
-}
-
-func (f *logSumExp) weights(x linalg.Vector) []float64 {
-	ts := f.terms(x)
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	w := make([]float64, len(ts))
-	z := 0.0
-	for i, t := range ts {
-		w[i] = math.Exp(t - m)
-		z += w[i]
-	}
-	for i := range w {
-		w[i] /= z
-	}
-	return w
-}
-
-func (f *logSumExp) Gradient(x, g linalg.Vector) {
-	w := f.weights(x)
-	for j := range g {
-		g[j] = 0
-	}
-	for i, wi := range w {
-		for j, aij := range f.a[i] {
-			g[j] += wi * aij
-		}
-	}
-}
-
-func (f *logSumExp) Hessian(x linalg.Vector, h *linalg.Matrix) {
-	w := f.weights(x)
-	n := len(x)
-	// H = Σ wᵢ aᵢaᵢᵀ − (Σ wᵢ aᵢ)(Σ wᵢ aᵢ)ᵀ.
-	mean := make([]float64, n)
-	for i, wi := range w {
-		for j, aij := range f.a[i] {
-			mean[j] += wi * aij
-		}
-	}
-	for i, wi := range w {
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				h.Add(r, c, wi*f.a[i][r]*f.a[i][c])
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			h.Add(r, c, -mean[r]*mean[c])
-		}
-	}
-}
-
-func TestLogSumExpInBox(t *testing.T) {
-	// min log(e^{x-y} + e^{y-x} + e^{x+y-1} + e^{-x-y}) in the box
-	// |x|, |y| ≤ 2. By symmetry the optimum sits at x = y = t with
-	// 2e^{2t-1} = 2e^{-2t}, i.e. t = 1/4 — strictly interior.
-	f := &logSumExp{
-		a: [][]float64{{1, -1}, {-1, 1}, {1, 1}, {-1, -1}},
-		b: []float64{0, 0, -1, 0},
-	}
-	a := linalg.NewMatrix(4, 2)
-	a.Set(0, 0, 1)
-	a.Set(1, 0, -1)
-	a.Set(2, 1, 1)
-	a.Set(3, 1, -1)
-	b := linalg.Vector{2, 2, 2, 2}
-	res, err := Minimize(f, a, b, linalg.Vector{0.5, -0.5}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-0.25) > 1e-3 || math.Abs(res.X[1]-0.25) > 1e-3 {
-		t.Fatalf("optimum at %v, want (0.25, 0.25)", res.X)
-	}
-	// First-order optimality at the interior solution.
-	g := linalg.NewVector(2)
-	f.Gradient(res.X, g)
-	if g.Norm2() > 1e-4 {
-		t.Fatalf("gradient at solution: %v (x=%v)", g, res.X)
-	}
-}
-
+// TestOptionsRespected checks the options that steer the iteration: a
+// loose Tol stops sooner than a tight one and still meets its own gap
+// test (sᵀλ ≤ Tol/100), and an explicit T0 — a small starting gap at a
+// start that is already optimal — saves iterations without moving the
+// answer.
 func TestOptionsRespected(t *testing.T) {
 	f := &quadratic{q: linalg.Vector{1}, p: linalg.Vector{1}}
-	a := linalg.NewMatrix(1, 1)
-	a.Set(0, 0, 1)
-	// A tiny Newton budget still returns a finite answer.
-	res, err := Minimize(f, a, linalg.Vector{10}, linalg.Vector{1}, Options{
-		MaxNewton: 1, MaxOuter: 2, Mu: 5, T0: 0.5, Tol: 1e-3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	a := rows(1, []float64{1}, []float64{-1})
+	b := linalg.Vector{10, 10}
+	solve := func(x0 float64, opts Options) *Result {
+		t.Helper()
+		res, err := SparseMinimize(f, a, b, linalg.Vector{x0}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.X[0]-1) > 1e-2 {
+			t.Fatalf("%+v: x = %v, want 1", opts, res.X[0])
+		}
+		return res
 	}
-	if !res.X.AllFinite() {
-		t.Fatalf("non-finite iterate %v", res.X)
+	loose, tight := solve(5, Options{Tol: 1e-3}), solve(5, Options{Tol: 1e-12})
+	if loose.GapBound > 1e-3/pdTolScale || loose.Newton >= tight.Newton {
+		t.Fatalf("Tol 1e-3: gap %g in %d iterations; Tol 1e-12: %d iterations", loose.GapBound, loose.Newton, tight.Newton)
 	}
-	if res.OuterStages > 2 {
-		t.Fatalf("outer budget exceeded: %d", res.OuterStages)
+	cold, near := solve(1, Options{}), solve(1, Options{T0: 1e6})
+	if near.Newton >= cold.Newton {
+		t.Fatalf("T0 1e6 at the optimum took %d iterations, T0 1 took %d", near.Newton, cold.Newton)
 	}
 }
 
 func TestBadlyScaledProblem(t *testing.T) {
-	// Curvatures spanning 8 orders of magnitude: Cholesky boost path.
+	// Curvatures spanning 8 orders of magnitude, both optima interior to
+	// a loose box: the LDLᵀ pivots span the same range.
 	f := &quadratic{q: linalg.Vector{1e8, 1e0}, p: linalg.Vector{1e8, 1}}
-	res, err := Minimize(f, nil, nil, linalg.Vector{17, -3}, Options{})
+	a := rows(2, []float64{1, 0}, []float64{-1, 0}, []float64{0, 1}, []float64{0, -1})
+	res, err := SparseMinimize(f, a, linalg.Vector{20, 20, 20, 20}, linalg.Vector{17, -3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +54,8 @@ func TestBadlyScaledProblem(t *testing.T) {
 func TestTightBoxBoundary(t *testing.T) {
 	// Optimum pressed against two constraints simultaneously.
 	f := &quadratic{q: linalg.Vector{1, 1}, p: linalg.Vector{5, 5}}
-	a := linalg.NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(1, 1, 1)
-	res, err := Minimize(f, a, linalg.Vector{1, 1}, linalg.Vector{0.5, 0.5}, Options{})
+	a := rows(2, []float64{1, 0}, []float64{0, 1})
+	res, err := SparseMinimize(f, a, linalg.Vector{1, 1}, linalg.Vector{0.5, 0.5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,7 @@ import (
 // factors it once per iteration with the cached-symbolic LDLᵀ of
 // internal/linalg, and solves twice against that factor (the affine
 // predictor, then the centred corrector). An iteration costs O(nnz(L))
-// and performs zero heap allocations, against the dense oracle's O(m·n²)
-// assembly and O(n³) factorization.
+// and performs zero heap allocations.
 //
 // With Options.Workers > 1 the Hessian assembly and the constraint
 // mat-vecs (A·x, A·Δx) run sharded on the shared linalg pool: mat-vecs
@@ -591,6 +590,7 @@ func (s *sparseSolver) minimize(x0 linalg.Vector, opts Options) (*Result, error)
 			res.X = x
 			res.Value = s.f.Value(x)
 			res.GapBound = s.slack.Dot(s.lam)
+			res.Lambda = s.lam.Clone()
 			return res, nil
 		}
 	}

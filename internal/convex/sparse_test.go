@@ -8,8 +8,7 @@ import (
 	"repro/internal/linalg"
 )
 
-// sepPowerSum is Σ wᵢ³/xᵢ² — the energy objective shape — implementing
-// both Objective (dense) and DiagObjective (sparse).
+// sepPowerSum is Σ wᵢ³/xᵢ², the energy objective shape.
 type sepPowerSum struct {
 	w linalg.Vector
 }
@@ -28,12 +27,6 @@ func (f *sepPowerSum) Gradient(x, g linalg.Vector) {
 	}
 }
 
-func (f *sepPowerSum) Hessian(x linalg.Vector, h *linalg.Matrix) {
-	for i, w := range f.w {
-		h.Add(i, i, 6*w*w*w/(x[i]*x[i]*x[i]*x[i]))
-	}
-}
-
 func (f *sepPowerSum) HessianDiag(x, h linalg.Vector) {
 	for i, w := range f.w {
 		h[i] = 6 * w * w * w / (x[i] * x[i] * x[i] * x[i])
@@ -41,28 +34,24 @@ func (f *sepPowerSum) HessianDiag(x, h linalg.Vector) {
 }
 
 // randomChainProgram builds a feasible random "schedule-shaped" program:
-// n durations on a chain, Σ xᵢ ≤ D, lo ≤ xᵢ, random extra prefix-sum
-// constraints to thicken the pattern. Returns dense and CSR forms of the
-// same constraints plus a strictly feasible start.
-func randomChainProgram(rng *rand.Rand, n int) (*sepPowerSum, *linalg.Matrix, *linalg.CSR, linalg.Vector, linalg.Vector) {
+// n durations on a chain, Σ xᵢ ≤ D and lo ≤ xᵢ. Returns the program, its
+// closed-form optimum, and a strictly feasible start: every task at the
+// chain's one speed Σw/D, xᵢ = wᵢ·D/Σw, which lo never binds.
+func randomChainProgram(rng *rand.Rand, n int) (*sepPowerSum, linalg.Vector, *linalg.CSR, linalg.Vector, linalg.Vector) {
 	w := linalg.NewVector(n)
 	for i := range w {
 		w[i] = 0.5 + rng.Float64()
 	}
 	D := 2.0 * float64(n)
 	lo := 0.05
-	rows := 1 + n
-	dense := linalg.NewMatrix(rows, n)
-	b := linalg.NewVector(rows)
+	b := linalg.NewVector(1 + n)
 	cb := linalg.NewCSRBuilder(n)
 	for j := 0; j < n; j++ { // Σ x ≤ D
-		dense.Set(0, j, 1)
 		cb.Set(j, 1)
 	}
 	cb.EndRow()
 	b[0] = D
 	for i := 0; i < n; i++ { // -xᵢ ≤ -lo
-		dense.Set(1+i, i, -1)
 		cb.Set(i, -1)
 		cb.EndRow()
 		b[1+i] = -lo
@@ -71,28 +60,28 @@ func randomChainProgram(rng *rand.Rand, n int) (*sepPowerSum, *linalg.Matrix, *l
 	for i := range x0 {
 		x0[i] = D / float64(n) * (0.5 + 0.4*rng.Float64())
 	}
-	return &sepPowerSum{w: w}, dense, cb.Build(), b, x0
+	opt := linalg.NewVector(n)
+	for i := range opt {
+		opt[i] = w[i] * D / w.Sum()
+	}
+	return &sepPowerSum{w: w}, opt, cb.Build(), b, x0
 }
 
-func TestSparseMinimizeMatchesDense(t *testing.T) {
+func TestSparseMinimizeMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.Intn(20)
-		f, da, sa, b, x0 := randomChainProgram(rng, n)
-		dres, err := Minimize(f, da, b, x0, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: dense Minimize: %v", trial, err)
-		}
-		sres, err := SparseMinimize(f, sa, b, x0, Options{})
+		f, opt, a, b, x0 := randomChainProgram(rng, n)
+		res, err := SparseMinimize(f, a, b, x0, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: SparseMinimize: %v", trial, err)
 		}
-		if math.Abs(dres.Value-sres.Value) > 1e-9*(1+math.Abs(dres.Value)) {
-			t.Fatalf("trial %d: value dense %.15g sparse %.15g", trial, dres.Value, sres.Value)
+		if want := f.Value(opt); math.Abs(res.Value-want) > 1e-9*want {
+			t.Fatalf("trial %d: value %.15g, closed form %.15g", trial, res.Value, want)
 		}
-		for i := range dres.X {
-			if math.Abs(dres.X[i]-sres.X[i]) > 1e-7*(1+math.Abs(dres.X[i])) {
-				t.Fatalf("trial %d: x[%d] dense %.15g sparse %.15g", trial, i, dres.X[i], sres.X[i])
+		for i := range opt {
+			if math.Abs(res.X[i]-opt[i]) > 1e-7*(1+opt[i]) {
+				t.Fatalf("trial %d: x[%d] %.15g, closed form %.15g", trial, i, res.X[i], opt[i])
 			}
 		}
 	}

@@ -48,12 +48,6 @@ type ContinuousOptions struct {
 	// to) is unchanged — only the centering work shrinks. Stale or
 	// infeasible warm data falls back to the cold start silently.
 	Warm *WarmStart
-	// DenseKernel routes the solve through the dense log-barrier oracle
-	// (O(m·n²) assembly, O(n³) Cholesky) instead of the default sparse
-	// primal-dual kernel. It exists as the oracle the property suite
-	// checks the sparse path against; production solves should leave it
-	// false.
-	DenseKernel bool
 	// Workers caps the parallelism of the sparse kernel (elimination-tree
 	// factorization, constraint assembly, mat-vec loops). 0 selects
 	// automatically by system size and GOMAXPROCS; 1 or negative forces
@@ -67,7 +61,7 @@ type ContinuousOptions struct {
 	// matrix, fill-reducing ordering, symbolic factorization) keyed by
 	// the graph's structural fingerprint. Requests whose graphs share a
 	// shape then skip the symbolic work entirely and pay only the numeric
-	// solve; see KernelCache. Ignored by the dense oracle path.
+	// solve; see KernelCache.
 	Kernels *KernelCache
 }
 
@@ -124,12 +118,6 @@ func (f *energyObjective) Gradient(x, g linalg.Vector) {
 	}
 	for i, a := range f.a {
 		g[f.n+i] = -(f.alpha - 1) * a / f.pow(x[f.n+i], f.alpha)
-	}
-}
-
-func (f *energyObjective) Hessian(x linalg.Vector, h *linalg.Matrix) {
-	for i, a := range f.a {
-		h.Add(f.n+i, f.n+i, f.alpha*(f.alpha-1)*a/f.pow(x[f.n+i], f.alpha+1))
 	}
 }
 
@@ -238,10 +226,10 @@ func (p *Problem) solveGP(smax, alpha float64, opts ContinuousOptions) ([]float6
 	// fixed row order: precedence rows (0), start rows (−rᵢ), deadline
 	// rows (1), duration floors (−lo), then duration ceilings (hi).
 	var ker *continuousKernel
-	if opts.Kernels != nil && !opts.DenseKernel {
+	if opts.Kernels != nil {
 		ker = opts.Kernels.kernel(p.G, hi != nil, opts)
 	} else {
-		ker = compileContinuousKernel(p.G, hi != nil, opts, opts.DenseKernel)
+		ker = compileContinuousKernel(p.G, hi != nil, opts)
 	}
 	b := linalg.NewVector(ker.rows)
 	r := len(ker.edges) // precedence rows: b = 0
@@ -277,9 +265,15 @@ func (p *Problem) solveGP(smax, alpha float64, opts ContinuousOptions) ([]float6
 			return nil, nil, Stats{}, err
 		}
 	}
-	res, err := minimizeGP(newEnergyObjective(wn, alpha), ker.a, ker.prog, b, x0, warm, opts)
+	obj := newEnergyObjective(wn, alpha)
+	res, err := minimizeGP(obj, ker.a, ker.prog, b, x0, warm, opts)
 	if err != nil {
 		return nil, nil, Stats{}, fmt.Errorf("core: continuous solve failed: %w", err)
+	}
+	// De-normalize the certificate: E = cpw^α / D^(α−1) · Σ wnᵢ^α/dᵢ^(α−1).
+	lb := ker.dualBound(obj, b, res.Lambda, lo, hi) * math.Pow(cpw, alpha) / math.Pow(p.Deadline, alpha-1)
+	if !(lb > 0) {
+		lb = 0
 	}
 	speeds := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -300,7 +294,53 @@ func (p *Problem) solveGP(smax, alpha float64, opts ContinuousOptions) ([]float6
 		Exact:                 true, // up to the numeric gap
 		BoundFactor:           1,
 		PrecedenceRowsDropped: ker.rowsDropped,
+		LowerBound:            lb,
 	}, nil
+}
+
+// dualBound returns the Lagrangian dual of the normalized program at
+// λ⁺ = max(λ, 0), which by weak duality bounds its optimum from below
+// whatever λ is. Every feasible point lies in the box t ∈ [0, 1],
+// d ∈ [lo, min(hi, 1)], so with c = Aᵀλ⁺ the dual is
+//
+//	−λ⁺ᵀb + Σᵢ min(0, c_tᵢ) + Σᵢ min over the box of aᵢ·d^(1−α) + c_dᵢ·d,
+//
+// whose d-term is the stationary point ((α−1)·aᵢ/c_dᵢ)^(1/α) clamped into
+// the box, or the box's top when c_dᵢ ≤ 0. At the optimum c_t = 0; the
+// kernel's exit leaves a residual there, whose negative part would cost
+// the bound about 2e-9 on degenerate programs (pipelines). So first, in
+// topological order, each negative c_tᵤ is pushed down u's first
+// precedence row u→v. Raising λ_uv by −c_tᵤ is free (the row's b is 0):
+// it zeroes c_tᵤ, raises c_dᵥ and lowers c_tᵥ, where the deficit cancels
+// against v's surplus or moves on. λ is clamped in place.
+func (k *continuousKernel) dualBound(f *energyObjective, b, lam linalg.Vector, lo, hi []float64) float64 {
+	for i, l := range lam {
+		lam[i] = math.Max(l, 0)
+	}
+	n := f.n
+	c := linalg.NewVector(2 * n)
+	k.a.AddMulVecT(lam, c)
+	for _, u := range k.topo {
+		if v := k.down[u]; v >= 0 && c[u] < 0 {
+			c[n+v] -= c[u]
+			c[v] += c[u]
+			c[u] = 0
+		}
+	}
+	lb := -lam.Dot(b)
+	for i, a := range f.a {
+		lb += math.Min(0, c[i])
+		top := 1.0
+		if hi != nil {
+			top = math.Min(top, hi[i])
+		}
+		d := top
+		if cd := c[n+i]; cd > 0 {
+			d = math.Max(lo[i], math.Min(top, math.Pow((f.alpha-1)*a/cd, 1/f.alpha)))
+		}
+		lb += a/f.pow(d, f.alpha-1) + c[n+i]*d
+	}
+	return lb
 }
 
 // normalize rescales the instance so every quantity of the program is
@@ -338,20 +378,15 @@ func (p *Problem) normalize(smax, alpha float64) ([]float64, float64, float64, e
 	return wn, cpw, sCap, nil
 }
 
-// minimizeGP runs the interior point on the normalized program A·x ≤ b
-// from the strictly feasible x0: the dense log-barrier oracle when
-// opts.DenseKernel is set, otherwise the sparse primal-dual kernel (prog,
-// or compiled here from a when prog is nil). The duality gap (sᵀλ in the
-// primal-dual kernel, m/t in the dense barrier oracle) is requested small
+// minimizeGP runs the primal-dual interior point on the normalized program
+// A·x ≤ b from the strictly feasible x0: prog, or a program compiled here
+// from a when prog is nil. The duality gap sᵀλ is requested small
 // relative to the objective scale at x0 (normalized energies are O(1)).
 // Warm starts begin next to the optimum, so AutoT0 starts the kernel at a
 // gap matched to the point's own centrality instead of re-walking the
 // whole path from μ₀ = 1 — that is what makes a warm re-solve cheaper than
 // a cold one.
-func minimizeGP(obj interface {
-	convex.Objective
-	convex.DiagObjective
-}, a *linalg.CSR, prog *convex.SparseProgram, b, x0 linalg.Vector, warm bool, opts ContinuousOptions) (*convex.Result, error) {
+func minimizeGP(obj *energyObjective, a *linalg.CSR, prog *convex.SparseProgram, b, x0 linalg.Vector, warm bool, opts ContinuousOptions) (*convex.Result, error) {
 	tol := opts.Tol
 	if tol == 0 {
 		tol = 1e-10
@@ -361,9 +396,6 @@ func minimizeGP(obj interface {
 		AutoT0:   warm,
 		Workers:  opts.Workers,
 		Ordering: opts.Ordering,
-	}
-	if opts.DenseKernel {
-		return convex.Minimize(obj, a.Dense(), b, x0, copts)
 	}
 	if prog == nil {
 		prog = convex.CompileSparse(a, len(x0), copts)

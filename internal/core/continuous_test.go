@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 // --- Theorem 1: chains and forks ---
@@ -417,6 +418,23 @@ func TestSolveContinuousChainAllocs(t *testing.T) {
 	})
 	if allocs > 280 {
 		t.Fatalf("SolveContinuous on a 256-task chain: %v allocations, want ≤ 280", allocs)
+	}
+}
+
+// TestClassifyGeneralDAGAllocs pins Classify's rejection of a general DAG
+// at a handful of allocations: the tree and join tests read degrees in
+// place, and the transitive reduction returns the graph itself when no
+// edge is redundant, so rejecting layered-512 builds no graph.
+func TestClassifyGeneralDAGAllocs(t *testing.T) {
+	g, err := workload.FromSeed("layered", 512, 1, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh := Classify(g); sh.Class != ClassGeneralDAG {
+		t.Fatalf("layered-512 classifies as %s", sh.Class)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Classify(g) }); allocs > 64 {
+		t.Fatalf("Classify on layered-512: %v allocations, want ≤ 64", allocs)
 	}
 }
 

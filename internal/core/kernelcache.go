@@ -32,13 +32,17 @@ type continuousKernel struct {
 	rows        int
 	a           *linalg.CSR
 	prog        *convex.SparseProgram
+	// topo is a topological order of the tasks and down[u] the head of
+	// u's first precedence row (−1 for a sink): the path along which
+	// dualBound pushes completion-time residuals.
+	topo []int
+	down []int
 }
 
 // compileContinuousKernel assembles the constraint structure for the
 // execution graph g. hasHi adds the dᵢ ≤ wᵢ/smin rows (their values live
-// in b; only their existence is structural). dense skips the sparse
-// program compile — the dense oracle path factors A.Dense() itself.
-func compileContinuousKernel(g *graph.Graph, hasHi bool, opts ContinuousOptions, dense bool) *continuousKernel {
+// in b; only their existence is structural).
+func compileContinuousKernel(g *graph.Graph, hasHi bool, opts ContinuousOptions) *continuousKernel {
 	n := g.N()
 	// Dense DAGs (m > 2n) usually carry transitively implied precedences:
 	// u→v alongside u→w→v. Every duration is strictly positive, so the
@@ -84,11 +88,22 @@ func compileContinuousKernel(g *graph.Graph, hasHi bool, opts ContinuousOptions,
 			ab.EndRow()
 		}
 	}
-	k := &continuousKernel{edges: edges, rowsDropped: rowsDropped, hasHi: hasHi, rows: rows, a: ab.Build()}
-	if !dense {
-		k.prog = convex.CompileSparse(k.a, 2*n, convex.Options{Ordering: opts.Ordering, Workers: opts.Workers})
+	topo, _ := g.TopoOrder()
+	down := make([]int, n)
+	for i := range down {
+		down[i] = -1
 	}
-	return k
+	for _, e := range edges {
+		if down[e[0]] < 0 {
+			down[e[0]] = e[1]
+		}
+	}
+	a := ab.Build()
+	return &continuousKernel{
+		edges: edges, rowsDropped: rowsDropped, hasHi: hasHi, rows: rows, a: a,
+		prog: convex.CompileSparse(a, 2*n, convex.Options{Ordering: opts.Ordering, Workers: opts.Workers}),
+		topo: topo, down: down,
+	}
 }
 
 // kernelKey identifies one compiled kernel: the graph's structural
@@ -132,7 +147,7 @@ func (c *KernelCache) kernel(g *graph.Graph, hasHi bool, opts ContinuousOptions)
 		return ker
 	}
 	c.misses.Add(1)
-	return c.lru.LoadOrAdd(key, compileContinuousKernel(g, hasHi, opts, false))
+	return c.lru.LoadOrAdd(key, compileContinuousKernel(g, hasHi, opts))
 }
 
 // Hits returns the lookup-hit count.

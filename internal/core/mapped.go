@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -163,9 +165,12 @@ func SolveMappedContinuous(mg *graph.Mapped, deadline, smax float64, opts Contin
 		return nil, err
 	}
 	res := &MappedResult{Tasks: mg.N(), Edges: mg.M(), Components: len(comps)}
+	// Energies add in ascending root order, not map order, so the sum is
+	// the same bits on every run.
+	roots := slices.Sorted(maps.Keys(comps))
 	needMaterialize := false
-	for _, c := range comps {
-		if c.isStreamableChain() {
+	for _, r := range roots {
+		if c := comps[r]; c.isStreamableChain() {
 			s := c.weight / deadline
 			if s > smax*(1+1e-12) {
 				return nil, fmt.Errorf("%w: chain component needs speed %.9g > smax %.9g", ErrInfeasible, s, smax)
@@ -183,7 +188,11 @@ func SolveMappedContinuous(mg *graph.Mapped, deadline, smax float64, opts Contin
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range graphs {
+	for _, r := range roots {
+		g := graphs[r]
+		if g == nil {
+			continue
+		}
 		p, err := NewProblem(g, deadline)
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -77,6 +78,49 @@ func TestSolveMappedContinuousMatchesInMemory(t *testing.T) {
 		}
 		if res.Tasks != g.N() || res.Edges != g.M() {
 			t.Errorf("%s: dims (%d,%d) vs (%d,%d)", c.family, res.Tasks, res.Edges, g.N(), g.M())
+		}
+	}
+}
+
+// TestSolveMappedContinuousDeterministic: the mapped energy adds its
+// components in a fixed order, so repeated solves agree to the bit, and
+// every one matches the planner on the materialized graph.
+func TestSolveMappedContinuousDeterministic(t *testing.T) {
+	const smax = 2.0
+	mg := openInstance(t, "multi", 32, 61)
+	g, err := workload.FromSeed("multi", 32, 61, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmin, err := MappedMinimalDeadline(mg, smax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(g, dmin*1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := model.NewContinuous(smax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.SolvePlanned(cm, PlannedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first float64
+	for run := 0; run < 10; run++ {
+		res, err := SolveMappedContinuous(mg, p.Deadline, smax, ContinuousOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res.Energy
+		} else if res.Energy != first {
+			t.Fatalf("run %d: energy %.17g, run 0: %.17g", run, res.Energy, first)
+		}
+		if rel := math.Abs(res.Energy-want.Energy) / want.Energy; rel > 1e-12 {
+			t.Fatalf("run %d: mapped energy %.17g, planner %.17g (rel %g)", run, res.Energy, want.Energy, rel)
 		}
 	}
 }

@@ -180,17 +180,8 @@ func TestTransitiveRowDedupe(t *testing.T) {
 	if rel := math.Abs(sol.Energy-want.Energy) / math.Max(1, want.Energy); rel > 1e-7 {
 		t.Fatalf("deduped energy %.15g vs chain closed form %.15g (rel %g)", sol.Energy, want.Energy, rel)
 	}
-	// Dense and sparse kernels see the same deduped rows.
-	dense, err := p.SolveContinuousNumeric(smax, ContinuousOptions{DenseKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(sol.Energy-dense.Energy) / math.Max(1, dense.Energy); rel > 1e-9 {
-		t.Fatalf("sparse %.15g vs dense %.15g after dedupe (rel %g)", sol.Energy, dense.Energy, rel)
-	}
-	if dense.Stats.PrecedenceRowsDropped != sol.Stats.PrecedenceRowsDropped {
-		t.Fatalf("dense dropped %d rows, sparse %d", dense.Stats.PrecedenceRowsDropped, sol.Stats.PrecedenceRowsDropped)
-	}
+	// The deduped program certifies itself.
+	checkCertified(t, "deduped chain", p, sol, certTol)
 }
 
 func TestWarmStartCheaperThanCold(t *testing.T) {

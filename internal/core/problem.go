@@ -90,6 +90,11 @@ type Stats struct {
 	// DAGs). The feasible set is unchanged; the interior point just
 	// carries fewer rows.
 	PrecedenceRowsDropped int
+	// LowerBound is a certified lower bound on the optimal energy (the
+	// interior point's Lagrangian dual), so Energy − LowerBound bounds the
+	// answer's distance from the optimum. 0 means no certificate, and 0 is
+	// always a valid bound.
+	LowerBound float64
 }
 
 // Solution is a feasible (or optimal) answer to MinEnergy for some model.

@@ -78,7 +78,11 @@ func Classify(g *graph.Graph) Shape {
 	}
 	if reduced, err := g.TransitiveReduction(); err == nil {
 		if e, ok := graph.DecomposeSP(reduced); ok {
-			return Shape{Class: ClassSeriesParallel, Expr: e, Reduced: reduced}
+			sh := Shape{Class: ClassSeriesParallel, Expr: e}
+			if reduced != g {
+				sh.Reduced = reduced
+			}
+			return sh
 		}
 	}
 	return Shape{Class: ClassGeneralDAG}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -8,26 +9,85 @@ import (
 	"repro/internal/workload"
 )
 
-// The sparse-kernel equivalence suite: the graph-structured sparse LDLᵀ
-// path of the interior-point solver must agree with the dense reference
-// kernel to 1e-9 (speeds and energy) across every workload family and
-// all four solve-option variants — cold, warm-started, release-times,
-// and SMin-banded. The dense path is the oracle; the sparse path is what
-// production runs.
+// The sparse kernel's certificate suite. Every interior-point answer must
+// pass Verify and certify itself: its lower bound (Stats.LowerBound, the
+// Lagrangian dual at the kernel's final multipliers) may not exceed the
+// energy beyond rounding, and may trail it by at most certTol, across
+// every workload family and all four solve-option variants — cold,
+// warm-started, release-times, and SMin-banded. By weak duality that is a
+// proof of optimality that needs no second solver. Where the routing table
+// has a closed form (chains and forks by Theorem 1, trees and SP graphs
+// by Theorem 2) the answer must also match it, speeds included.
 
 // maxSparseIterations bounds the primal-dual iterations of every sparse
 // solve in this suite: the work counter the kernel's speed rests on,
 // pinned here instead of a wall-clock bound.
 const maxSparseIterations = 60
 
-// sparseDenseVariant names one ContinuousOptions shape of the matrix.
-type sparseDenseVariant struct {
+// certTol is the relative gap E − LB ≤ certTol·E the core suites require.
+const certTol = 1e-11
+
+// checkCertified fails unless sol passes Verify and certifies itself to
+// within tol (checkGap).
+func checkCertified(t *testing.T, name string, p *Problem, sol *Solution, tol float64) {
+	t.Helper()
+	if err := p.Verify(sol, 1e-9); err != nil {
+		t.Errorf("%s: verify: %v", name, err)
+	}
+	checkGap(t, name, sol.Energy, sol.Stats, tol)
+}
+
+// checkGap fails unless the answer carries a certificate LB with
+// 0 < LB ≤ E·(1+1e-12) and E − LB ≤ tol·E.
+func checkGap(t *testing.T, name string, energy float64, st Stats, tol float64) {
+	t.Helper()
+	lb := st.LowerBound
+	if !(lb > 0) || lb > energy*(1+1e-12) || energy-lb > tol*energy {
+		t.Errorf("%s: energy %.15g, lower bound %.15g (gap %.3g, want ≤ %g)",
+			name, energy, lb, (energy-lb)/energy, tol)
+	}
+}
+
+// checkClosedForm compares sol with the routing table's closed form for
+// p, speeds included, when p has one that smax does not bind.
+func checkClosedForm(t *testing.T, name string, p *Problem, smax float64, sol *Solution) {
+	t.Helper()
+	ref, err := p.SolveContinuous(smax, ContinuousOptions{})
+	if err != nil {
+		t.Fatalf("%s: routed solve: %v", name, err)
+	}
+	switch ref.Stats.Algorithm {
+	case "chain-closed-form", "fork-closed-form", "tree-equivalent-weight", "sp-equivalent-weight":
+	default:
+		return
+	}
+	if rel := math.Abs(sol.Energy-ref.Energy) / ref.Energy; rel > 1e-9 {
+		t.Errorf("%s: energy %.15g, %s %.15g (rel %g)", name, sol.Energy, ref.Stats.Algorithm, ref.Energy, rel)
+	}
+	got, err := sol.Speeds()
+	if err != nil {
+		t.Fatalf("%s: speeds: %v", name, err)
+	}
+	want, err := ref.Speeds()
+	if err != nil {
+		t.Fatalf("%s: %s speeds: %v", name, ref.Stats.Algorithm, err)
+	}
+	for i := range got {
+		if d := math.Abs(got[i] - want[i]); d > 1e-9*(1+want[i]) {
+			t.Errorf("%s: speed[%d] %.15g, %s %.15g", name, i, got[i], ref.Stats.Algorithm, want[i])
+			break
+		}
+	}
+}
+
+// solveVariant is one ContinuousOptions shape of the matrix.
+type solveVariant struct {
 	name  string
 	setup func(p *Problem, cold *Solution) (ContinuousOptions, bool)
 }
 
-func sparseDenseVariants() []sparseDenseVariant {
-	return []sparseDenseVariant{
+func solveVariants() []solveVariant {
+	return []solveVariant{
 		{"cold", func(p *Problem, cold *Solution) (ContinuousOptions, bool) {
 			return ContinuousOptions{}, true
 		}},
@@ -56,7 +116,36 @@ func sparseDenseVariants() []sparseDenseVariant {
 	}
 }
 
-func TestSparseKernelMatchesDenseAcrossFamilies(t *testing.T) {
+// solveCertified runs every variant on p and checks each answer: the
+// iteration pin, the certificate, and — for the cold and warm variants,
+// which solve p itself — the closed form.
+func solveCertified(t *testing.T, name string, p *Problem, smax float64) {
+	t.Helper()
+	cold, err := p.SolveContinuousNumeric(smax, ContinuousOptions{})
+	if err != nil {
+		t.Fatalf("%s: cold solve: %v", name, err)
+	}
+	for _, v := range solveVariants() {
+		opts, ok := v.setup(p, cold)
+		if !ok {
+			continue
+		}
+		vname := name + "/" + v.name
+		sol, err := p.SolveContinuousNumeric(smax, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", vname, err)
+		}
+		if sol.Stats.Newton > maxSparseIterations {
+			t.Errorf("%s: sparse solve took %d iterations, want ≤ %d", vname, sol.Stats.Newton, maxSparseIterations)
+		}
+		checkCertified(t, vname, p, sol, certTol)
+		if opts.Release == nil && opts.SMin == 0 {
+			checkClosedForm(t, vname, p, smax, sol)
+		}
+	}
+}
+
+func TestSparseKernelCertifiedAcrossFamilies(t *testing.T) {
 	const smax = 2.0
 	families := []struct {
 		family string
@@ -92,58 +181,14 @@ func TestSparseKernelMatchesDenseAcrossFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: problem: %v", fc.family, err)
 		}
-		cold, err := p.SolveContinuousNumeric(smax, ContinuousOptions{})
-		if err != nil {
-			t.Fatalf("%s: cold solve: %v", fc.family, err)
-		}
-		for _, v := range sparseDenseVariants() {
-			opts, ok := v.setup(p, cold)
-			if !ok {
-				continue
-			}
-			sparse, err := p.SolveContinuousNumeric(smax, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: sparse solve: %v", fc.family, v.name, err)
-			}
-			if sparse.Stats.Newton > maxSparseIterations {
-				t.Errorf("%s/%s: sparse solve took %d iterations, want ≤ %d",
-					fc.family, v.name, sparse.Stats.Newton, maxSparseIterations)
-			}
-			opts.DenseKernel = true
-			dense, err := p.SolveContinuousNumeric(smax, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: dense solve: %v", fc.family, v.name, err)
-			}
-			if rel := math.Abs(sparse.Energy-dense.Energy) / math.Max(1, dense.Energy); rel > 1e-9 {
-				t.Errorf("%s/%s: energy sparse %.15g dense %.15g (rel %g)",
-					fc.family, v.name, sparse.Energy, dense.Energy, rel)
-			}
-			ss, err := sparse.Speeds()
-			if err != nil {
-				t.Fatalf("%s/%s: sparse speeds: %v", fc.family, v.name, err)
-			}
-			ds, err := dense.Speeds()
-			if err != nil {
-				t.Fatalf("%s/%s: dense speeds: %v", fc.family, v.name, err)
-			}
-			for i := range ss {
-				if d := math.Abs(ss[i] - ds[i]); d > 1e-9*(1+ds[i]) {
-					t.Errorf("%s/%s: speed[%d] sparse %.15g dense %.15g",
-						fc.family, v.name, i, ss[i], ds[i])
-					break
-				}
-			}
-		}
+		solveCertified(t, fc.family, p, smax)
 	}
 }
 
-// TestSparseKernelMatchesPreciseDenseAtTightDeadline runs the sparse
-// kernel where most speed caps bind — 1.02× the minimal deadline — on
-// three general DAGs × the four variants, against the dense oracle solved
-// to Tol 1e-13. The default-tolerance oracle is itself about 1e-9 off in
-// speeds on such instances, which is why these cases are not in the
-// suite above.
-func TestSparseKernelMatchesPreciseDenseAtTightDeadline(t *testing.T) {
+// TestSparseKernelCertifiedAtTightDeadline runs the sparse kernel where
+// most speed caps bind — 1.02× the minimal deadline — on three general
+// DAGs × the four variants.
+func TestSparseKernelCertifiedAtTightDeadline(t *testing.T) {
 	const smax = 2.0
 	for _, fc := range []struct {
 		family string
@@ -166,50 +211,13 @@ func TestSparseKernelMatchesPreciseDenseAtTightDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: problem: %v", fc.family, err)
 		}
-		cold, err := p.SolveContinuousNumeric(smax, ContinuousOptions{})
-		if err != nil {
-			t.Fatalf("%s: cold solve: %v", fc.family, err)
-		}
-		for _, v := range sparseDenseVariants() {
-			opts, _ := v.setup(p, cold)
-			sparse, err := p.SolveContinuousNumeric(smax, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: sparse solve: %v", fc.family, v.name, err)
-			}
-			if sparse.Stats.Newton > maxSparseIterations {
-				t.Errorf("%s/%s: sparse solve took %d iterations, want ≤ %d",
-					fc.family, v.name, sparse.Stats.Newton, maxSparseIterations)
-			}
-			opts.DenseKernel = true
-			opts.Tol = 1e-13
-			dense, err := p.SolveContinuousNumeric(smax, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: dense solve: %v", fc.family, v.name, err)
-			}
-			if rel := math.Abs(sparse.Energy-dense.Energy) / math.Max(1, dense.Energy); rel > 1e-11 {
-				t.Errorf("%s/%s: energy sparse %.15g dense %.15g (rel %g)",
-					fc.family, v.name, sparse.Energy, dense.Energy, rel)
-			}
-			ss, err := sparse.Speeds()
-			if err != nil {
-				t.Fatalf("%s/%s: sparse speeds: %v", fc.family, v.name, err)
-			}
-			ds, err := dense.Speeds()
-			if err != nil {
-				t.Fatalf("%s/%s: dense speeds: %v", fc.family, v.name, err)
-			}
-			for i := range ss {
-				if d := math.Abs(ss[i] - ds[i]); d > 1e-9*(1+ds[i]) {
-					t.Errorf("%s/%s: speed[%d] sparse %.15g dense %.15g",
-						fc.family, v.name, i, ss[i], ds[i])
-					break
-				}
-			}
-		}
+		solveCertified(t, fc.family, p, smax)
 	}
 }
 
-func TestSparseKernelMatchesDenseAlpha(t *testing.T) {
+// TestSparseKernelCertifiedAlpha certifies the generalized program under
+// power s^α, whose answers carry no schedule to Verify.
+func TestSparseKernelCertifiedAlpha(t *testing.T) {
 	g, err := workload.FromSeed("layered", 12, 21, 0.5, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -223,25 +231,19 @@ func TestSparseKernelMatchesDenseAlpha(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alpha := range []float64{1.6, 2.2, 3} {
-		sparse, err := p.SolveContinuousNumericAlpha(2, alpha, ContinuousOptions{})
+		sol, err := p.SolveContinuousNumericAlpha(2, alpha, ContinuousOptions{})
 		if err != nil {
-			t.Fatalf("alpha %g sparse: %v", alpha, err)
+			t.Fatalf("alpha %g: %v", alpha, err)
 		}
-		dense, err := p.SolveContinuousNumericAlpha(2, alpha, ContinuousOptions{DenseKernel: true})
-		if err != nil {
-			t.Fatalf("alpha %g dense: %v", alpha, err)
-		}
-		if rel := math.Abs(sparse.Energy-dense.Energy) / math.Max(1, dense.Energy); rel > 1e-9 {
-			t.Errorf("alpha %g: energy sparse %.15g dense %.15g", alpha, sparse.Energy, dense.Energy)
-		}
+		checkGap(t, fmt.Sprintf("alpha %g", alpha), sol.Energy, sol.Stats, certTol)
 	}
 }
 
 // TestSparseKernelLargeChain pins the asymptotic win: a 2048-task chain
 // through the interior-point kernel (bypassing the closed form) solves in
 // seconds on the sparse path — its KKT systems are tridiagonal-like and
-// factor with zero fill — where the dense path's O(n³) factorization per
-// Newton step is computationally out of reach. The wall-clock bound is
+// factor with zero fill — where a dense O(n³) factorization per Newton
+// step would be computationally out of reach. The wall-clock bound is
 // deliberately loose (CI machines vary); the committed BENCH_baseline.json
 // records the measured number.
 func TestSparseKernelLargeChain(t *testing.T) {

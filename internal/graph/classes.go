@@ -47,55 +47,56 @@ func (g *Graph) IsChain() ([]int, bool) {
 // IsFork reports whether the graph is a fork: one source T0 with edges to
 // every other task, and no other edges (the shape of Theorem 1). Returns the
 // source ID.
-func (g *Graph) IsFork() (int, bool) {
-	n := g.N()
-	if n < 2 {
-		return -1, false
-	}
-	sources := g.Sources()
-	if len(sources) != 1 {
-		return -1, false
-	}
-	s := sources[0]
-	if len(g.succ[s]) != n-1 {
-		return -1, false
-	}
-	for i := 0; i < n; i++ {
-		if i == s {
-			continue
-		}
-		if len(g.pred[i]) != 1 || g.pred[i][0] != s || len(g.succ[i]) != 0 {
-			return -1, false
-		}
-	}
-	return s, true
-}
+func (g *Graph) IsFork() (int, bool) { return g.star(g.succ, g.pred) }
 
 // IsJoin reports whether the graph is a join (the mirror of a fork): one
 // sink receiving an edge from every other task, no other edges. Returns the
 // sink ID.
-func (g *Graph) IsJoin() (int, bool) {
-	sinks := g.Sinks()
-	if len(sinks) != 1 {
+func (g *Graph) IsJoin() (int, bool) { return g.star(g.pred, g.succ) }
+
+// star returns the centre of a fork read along out (successors for a
+// fork, predecessors for a join): the one task with nothing in in, whose
+// out reaches every other task, each of which has it as its only in and
+// nothing in out.
+func (g *Graph) star(out, in [][]int) (int, bool) {
+	n := g.N()
+	c := -1
+	for i := 0; i < n; i++ {
+		if len(in[i]) == 0 {
+			if c >= 0 {
+				return -1, false
+			}
+			c = i
+		}
+	}
+	if n < 2 || c < 0 || len(out[c]) != n-1 {
 		return -1, false
 	}
-	t := sinks[0]
-	if s, ok := g.Reverse().IsFork(); ok && s == t {
-		return t, true
+	for i := 0; i < n; i++ {
+		if i != c && (len(in[i]) != 1 || in[i][0] != c || len(out[i]) != 0) {
+			return -1, false
+		}
 	}
-	return -1, false
+	return c, true
 }
 
 // IsOutTree reports whether the graph is an out-tree (every task has at most
 // one predecessor, exactly one root, connected). Returns the root.
-func (g *Graph) IsOutTree() (int, bool) {
+func (g *Graph) IsOutTree() (int, bool) { return g.treeRoot(g.pred) }
+
+// IsInTree reports whether the graph is an in-tree (every task has at most
+// one successor, exactly one sink root, connected). Returns the root (sink).
+func (g *Graph) IsInTree() (int, bool) { return g.treeRoot(g.succ) }
+
+// treeRoot returns the root of a tree read along in (predecessors for an
+// out-tree, successors for an in-tree): every task has at most one in,
+// exactly one has none, and n−1 edges with a single root imply the graph
+// is connected, hence a tree.
+func (g *Graph) treeRoot(in [][]int) (int, bool) {
 	n := g.N()
-	if n == 0 {
-		return -1, false
-	}
 	root := -1
 	for i := 0; i < n; i++ {
-		switch len(g.pred[i]) {
+		switch len(in[i]) {
 		case 0:
 			if root >= 0 {
 				return -1, false
@@ -106,20 +107,10 @@ func (g *Graph) IsOutTree() (int, bool) {
 			return -1, false
 		}
 	}
-	if root < 0 {
-		return -1, false
-	}
-	// Connectivity: n-1 edges and a single root imply a tree.
-	if g.M() != n-1 {
+	if root < 0 || g.M() != n-1 {
 		return -1, false
 	}
 	return root, true
-}
-
-// IsInTree reports whether the graph is an in-tree (every task has at most
-// one successor, exactly one sink root, connected). Returns the root (sink).
-func (g *Graph) IsInTree() (int, bool) {
-	return g.Reverse().IsOutTree()
 }
 
 // IsConnected reports whether the underlying undirected graph is connected.

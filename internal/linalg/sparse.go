@@ -69,17 +69,6 @@ func (a *CSR) AddMulVecT(x, y Vector) {
 	}
 }
 
-// Dense materializes the matrix, for tests and the dense reference path.
-func (a *CSR) Dense() *Matrix {
-	m := NewMatrix(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			m.Add(i, a.Col[p], a.Val[p])
-		}
-	}
-	return m
-}
-
 // CSRBuilder assembles a CSR matrix one row at a time. Entries of the
 // current row are staged with Set; EndRow sorts them by column, merges
 // duplicates, and appends the row. The builder is append-only — rows are

@@ -74,7 +74,7 @@ func TestCSRBuilderMergesDuplicates(t *testing.T) {
 	if a.Rows != 2 || a.Cols != 4 || a.NNZ() != 2 {
 		t.Fatalf("got rows=%d cols=%d nnz=%d", a.Rows, a.Cols, a.NNZ())
 	}
-	d := a.Dense()
+	d := csrDense(a)
 	if d.At(0, 0) != 3 || d.At(0, 2) != 5 {
 		t.Fatalf("merged row wrong: %v", d.Data)
 	}
@@ -145,7 +145,7 @@ func TestSparseSymFactorSolveMatchesDense(t *testing.T) {
 			}
 		}
 		// Residual check: H·x ≈ rhs.
-		hd := s.Dense()
+		hd := symDense(s)
 		res := NewVector(n)
 		hd.MulVec(x, res)
 		for i := range res {

@@ -1,12 +1,17 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrNotPositiveDefinite is returned by Factor when the matrix is not
+// (numerically) positive definite even after the diagonal boost.
+var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // SparseSym is a symmetric positive definite matrix with a fixed sparsity
 // pattern, built once and refactored many times: the shape of the Newton
@@ -477,22 +482,6 @@ func (s *SparseSym) ZeroVals() {
 		s.Val[i] = 0
 	}
 	s.factored = false
-}
-
-// Dense materializes the full symmetric matrix in original indexing, for
-// tests and oracles.
-func (s *SparseSym) Dense() *Matrix {
-	m := NewMatrix(s.n, s.n)
-	for c := 0; c < s.n; c++ {
-		for p := s.colPtr[c]; p < s.colPtr[c+1]; p++ {
-			i, j := s.perm[s.rowIdx[p]], s.perm[c]
-			m.Add(i, j, s.Val[p])
-			if i != j {
-				m.Add(j, i, s.Val[p])
-			}
-		}
-	}
-	return m
 }
 
 // processRow runs row k of the up-looking numeric factorization against

@@ -1,10 +1,7 @@
-// Package linalg provides the linear-algebra kernels used by the convex
-// and LP solvers, in two weights. The dense side — vectors, column-major
-// matrices, Cholesky/LDLᵀ factorizations, triangular solves — is the
-// reference path for problems of a few hundred variables. The sparse
-// side (sparse.go, sparseldl.go) is the production path of the
-// interior-point method: CSR matrices, and a symmetric sparse LDLᵀ with
-// a reverse Cuthill–McKee fill-reducing ordering whose symbolic
+// Package linalg provides the linear-algebra kernels of the interior-point
+// method: dense vectors, CSR matrices (sparse.go), and a symmetric sparse
+// LDLᵀ (sparseldl.go) with a fill-reducing ordering — reverse
+// Cuthill–McKee or nested dissection (order.go) — whose symbolic
 // factorization is computed once and reused across refactorizations, so
 // each Newton iteration factors and solves with zero heap allocations.
 // No dependencies outside the standard library.

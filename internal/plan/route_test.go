@@ -111,27 +111,31 @@ func (cov coverage) check(t *testing.T, name string, pl *Plan, sol *core.Solutio
 
 	copts := core.ContinuousOptions{Release: rel}
 	dopts := core.DiscreteOptions{Release: rel}
-	// exact is the model's exact optimum: the dense interior point for
-	// Continuous, branch-and-bound otherwise (on the Discrete model with the
-	// same modes for Vdd-Hopping, an upper bound of its optimum).
+	// numeric runs the interior point outside the routing table.
+	numeric := func(opts core.ContinuousOptions) *core.Solution {
+		t.Helper()
+		ref, err := p.SolveContinuousNumeric(m.SMax, opts)
+		if err != nil {
+			t.Fatalf("%s: numeric oracle: %v", name, err)
+		}
+		return ref
+	}
+	// exact is the model's exact optimum: the interior point for
+	// Continuous, branch-and-bound otherwise (on the Discrete model with
+	// the same modes for Vdd-Hopping, an upper bound of its optimum).
 	exact := func() float64 {
 		t.Helper()
-		var ref *core.Solution
-		var err error
 		if m.Kind == model.Continuous {
-			dense := copts
-			dense.DenseKernel = true
-			ref, err = p.SolveContinuousNumeric(m.SMax, dense)
-		} else {
-			dm := m
-			if m.Kind == model.VddHopping {
-				dm, err = model.NewDiscrete(m.Modes)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			ref, err = p.SolveDiscreteBB(dm, dopts)
+			return numeric(copts).Energy
 		}
+		dm := m
+		var err error
+		if m.Kind == model.VddHopping {
+			if dm, err = model.NewDiscrete(m.Modes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := p.SolveDiscreteBB(dm, dopts)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
@@ -145,28 +149,27 @@ func (cov coverage) check(t *testing.T, name string, pl *Plan, sol *core.Solutio
 	}
 	switch {
 	case algo == "chain-closed-form" || algo == "fork-closed-form" || algo == "tree-equivalent-weight" || algo == "sp-equivalent-weight":
-		ref, err := p.SolveContinuousNumeric(m.SMax, copts)
-		if err != nil {
-			t.Fatalf("%s: numeric oracle: %v", name, err)
+		within(numeric(copts).Energy, 5e-4)
+	case algo == "continuous-interior-point" || ipExit:
+		// The interior point's dual lower bound certifies the answer; its
+		// closed-form exits carry none and must match exactly.
+		ref := numeric(copts)
+		if ref.Stats.Algorithm != "continuous-interior-point" {
+			within(ref.Energy, 1e-9)
+		} else if lb := ref.Stats.LowerBound; !(lb > 0) || lb > sol.Energy*(1+1e-12) || sol.Energy-lb > 1e-9*sol.Energy {
+			t.Fatalf("%s: %s energy %.12g, certified lower bound %.12g", name, algo, sol.Energy, lb)
 		}
-		within(ref.Energy, 5e-4)
-	case algo == "continuous-interior-point" || ipExit || algo == "discrete-sp-dp" || algo == "discrete-bb":
+	case algo == "discrete-sp-dp" || algo == "discrete-bb":
 		within(exact(), 1e-9)
 	case algo == "vdd-lp":
-		cont, err := p.SolveContinuousNumeric(m.SMax, core.ContinuousOptions{Release: rel, DenseKernel: true})
-		if err != nil {
-			t.Fatalf("%s: continuous oracle: %v", name, err)
-		}
+		cont := numeric(copts)
 		if disc := exact(); sol.Energy < cont.Energy*(1-1e-6) || sol.Energy > disc*(1+1e-9) {
 			t.Fatalf("%s: vdd-lp energy %.12g outside [continuous %.12g, discrete %.12g]", name, sol.Energy, cont.Energy, disc)
 		}
 	default: // approximations, round-up, greedy, degraded
 		opt := exact()
 		if m.Kind == model.VddHopping {
-			cont, err := p.SolveContinuousNumeric(m.SMax, core.ContinuousOptions{DenseKernel: true})
-			if err != nil {
-				t.Fatalf("%s: continuous oracle: %v", name, err)
-			}
+			cont := numeric(core.ContinuousOptions{})
 			if sol.Energy < cont.Energy*(1-1e-6) || sol.Energy > cp.BoundFactor*opt*(1+1e-9) {
 				t.Fatalf("%s: %s energy %.12g outside [%.12g, %v×%.12g]", name, algo, sol.Energy, cont.Energy, cp.BoundFactor, opt)
 			}

@@ -101,14 +101,14 @@
 // method needed hundreds of Newton steps for. Two orderings compete at
 // compile time — reverse Cuthill–McKee and graph-bisection nested
 // dissection — and the kernel keeps whichever predicts less symbolic fill
-// for the instance at hand. With ContinuousOptions.Workers > 1 the
-// numeric factorization runs independent elimination-tree subtrees
-// concurrently and stays bit-identical to the sequential result. One
-// iteration costs O(nnz(L)) and performs zero heap allocations
-// sequentially or in parallel (the iterate, slack, multiplier and
-// direction vectors are preallocated; a regression test pins the
-// iteration at 0 allocs/op). Every answer certifies itself: the kernel
-// returns its final multipliers, and their Lagrangian dual, reported as
+// for the instance at hand. A solve runs sequentially on its caller's
+// goroutine, so its answer is the same bits on any core count;
+// concurrency comes from solving independent components and requests
+// at once. One iteration costs O(nnz(L)) and performs zero heap
+// allocations (the iterate, slack, multiplier and direction vectors are
+// preallocated; a regression test pins the iteration at 0 allocs/op).
+// Every answer certifies itself: the kernel returns its final
+// multipliers, and their Lagrangian dual, reported as
 // Stats.LowerBound, bounds the optimal energy from below, so
 // Energy − LowerBound bounds the answer's suboptimality without a second
 // solver. In practice this moves the interior point from topping out

@@ -16,9 +16,12 @@
 // structure (CompileSparse), whose constraints arrive in CSR form, whose
 // Newton matrix is assembled and factored in sparse form with a cached
 // symbolic LDLᵀ, and whose iterations allocate nothing; SparseMinimize
-// compiles and solves in one call. Its answers need no second solver as
-// a check: it returns its final multipliers, and weak duality turns them
-// into a lower bound on the optimum (see Result.Lambda).
+// compiles and solves in one call. A solve runs sequentially on its
+// caller's goroutine and gives the same bits on any core count;
+// concurrent solves share one compiled program, each on its own pooled
+// workspace. Its answers need no second solver as a check: it returns
+// its final multipliers, and weak duality turns them into a lower bound
+// on the optimum (see Result.Lambda).
 package convex
 
 import (
@@ -39,7 +42,7 @@ const (
 )
 
 // Options tunes the interior point. Tol, T0 and AutoT0 steer the
-// iteration; Workers and Ordering are fixed at CompileSparse.
+// iteration; Ordering is fixed at CompileSparse.
 type Options struct {
 	// Tol is the duality-gap tolerance: the kernel stops once sᵀλ ≤ Tol/100
 	// (or the mean sᵢλᵢ reaches its roundoff floor, which only systems
@@ -61,12 +64,6 @@ type Options struct {
 	// back to 1, leaving the path unchanged. An explicit nonzero T0 wins
 	// over the estimate.
 	AutoT0 bool
-	// Workers caps the parallelism (factorization, Hessian assembly and
-	// mat-vec loops). 0 selects automatically: GOMAXPROCS capped at 8,
-	// and only for systems with at least sparseParallelMinVars variables
-	// — smaller systems stay on the exact sequential path. 1 or negative
-	// forces sequential.
-	Workers int
 	// Ordering forces the fill-reducing ordering; OrderAuto (zero) picks
 	// the cheaper of RCM and nested dissection by symbolic factor size.
 	Ordering Ordering

@@ -3,7 +3,6 @@ package convex
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/linalg"
@@ -28,16 +27,8 @@ import (
 // factors it once per iteration with the cached-symbolic LDLᵀ of
 // internal/linalg, and solves twice against that factor (the affine
 // predictor, then the centred corrector). An iteration costs O(nnz(L))
-// and performs zero heap allocations.
-//
-// With Options.Workers > 1 the Hessian assembly and the constraint
-// mat-vecs (A·x, A·Δx) run sharded on the shared linalg pool: mat-vecs
-// split by row range and stay bitwise identical to the sequential loop
-// (rows are independent), and the Hessian accumulates into per-worker
-// partials reduced in fixed worker order — deterministic for a fixed
-// worker count. The Aᵀv products stay sequential. All per-worker
-// workspaces are allocated once at setup, preserving the zero-allocation
-// steady state.
+// and performs zero heap allocations. Every loop runs sequentially in a
+// fixed order, so a solve gives the same bits on any core count.
 
 // DiagObjective is a twice-differentiable convex function with a
 // diagonal Hessian — the separable objectives of the energy programs.
@@ -51,13 +42,6 @@ type DiagObjective interface {
 }
 
 const (
-	// sparseParallelMinVars is the variable count below which automatic
-	// worker selection stays sequential: dispatch overhead beats the win,
-	// and the AllocsPerRun pin covers the exact sequential path.
-	sparseParallelMinVars = 2048
-	// sparseParallelMaxWorkers caps automatic worker selection.
-	sparseParallelMaxWorkers = 8
-
 	// pdMaxIter caps primal-dual iterations; a solve still short of the
 	// stopping tests then fails with ErrNumerical.
 	pdMaxIter = 300
@@ -85,35 +69,12 @@ const (
 	pdEps = 0x1p-52
 )
 
-// resolveWorkers maps Options.Workers to an effective worker count for a
-// system with n variables.
-func resolveWorkers(opts Options, n int) int {
-	w := opts.Workers
-	if w == 1 || w < 0 {
-		return 1
-	}
-	if w == 0 {
-		if n < sparseParallelMinVars {
-			return 1
-		}
-		w = runtime.GOMAXPROCS(0)
-		if w > sparseParallelMaxWorkers {
-			w = sparseParallelMaxWorkers
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // SparseProgram is the compiled, structure-determined part of a sparse
 // interior-point solve: the Newton-matrix pattern, fill-reducing
-// ordering, symbolic factorization, scatter maps, and row-shard
-// boundaries for the constraint system A·x ≤ b. It is bound to one
-// constraint matrix A (pattern and values) and one worker count, both
-// fixed at CompileSparse; the objective f, right-hand side b, and start
-// point vary per Minimize.
+// ordering, symbolic factorization, and scatter maps for the constraint
+// system A·x ≤ b. It is bound to one constraint matrix A (pattern and
+// values), fixed at CompileSparse; the objective f, right-hand side b,
+// and start point vary per Minimize.
 //
 // A program is safe for concurrent use: Minimize borrows a pooled
 // per-solve workspace (numeric factor + iteration vectors) per call, so N
@@ -121,10 +82,9 @@ func resolveWorkers(opts Options, n int) int {
 // caches store this object to amortize the one-time work across requests
 // that share a sparsity pattern.
 type SparseProgram struct {
-	a       *linalg.CSR
-	n       int // variables
-	m       int // constraints
-	workers int
+	a *linalg.CSR
+	n int // variables
+	m int // constraints
 
 	sym *linalg.SymProgram
 
@@ -137,19 +97,14 @@ type SparseProgram struct {
 	pairProd []float64
 	diagSlot []int32
 
-	// rowPtr holds the fixed row-shard boundaries (len workers+1) when
-	// workers > 1; nil otherwise.
-	rowPtr []int
-
 	// pool recycles per-solve workspaces across Minimize calls.
 	pool sync.Pool
 }
 
 // sparseSolver is one solve's workspace over a compiled SparseProgram:
 // the numeric factor plus every vector the iteration needs, so
-// iterations allocate nothing. The structural fields (a, scatter maps,
-// shard boundaries) alias the program and are read-only; f and b are set
-// per solve.
+// iterations allocate nothing. The structural fields (a, scatter maps)
+// alias the program and are read-only; f and b are set per solve.
 type sparseSolver struct {
 	f DiagObjective
 	a *linalg.CSR
@@ -179,29 +134,15 @@ type sparseSolver struct {
 	// cut records that the previous step-back cut its step below half,
 	// which floors the next centering weight.
 	cut bool
-
-	// Parallel state (workers > 1); see the package comment. rowPtr holds
-	// the fixed row-shard boundaries (len workers+1). The mv/asm task
-	// lists and their closures are created once at setup; the mat-vec's
-	// operands travel through mvX/mvDst set before RunTasks.
-	workers  int
-	rowPtr   []int
-	hvW      [][]float64 // per-worker Hessian value partials
-	mvTasks  []*linalg.PoolTask
-	asmTasks []*linalg.PoolTask
-	wg       sync.WaitGroup
-	mvX      linalg.Vector // mat-vec input
-	mvDst    linalg.Vector // mat-vec output
 }
 
 // CompileSparse runs the one-time structural work for the constraint
 // system A·x ≤ b with n variables: Newton-matrix pattern, fill-reducing
-// ordering, symbolic factorization, scatter maps, and shard boundaries.
-// a must be non-nil; Minimize rejects a program without constraint rows.
-// Only opts.Ordering and opts.Workers participate — the worker count is
-// baked into the program and later Minimize calls inherit it.
+// ordering, symbolic factorization, and scatter maps. a must be non-nil;
+// Minimize rejects a program without constraint rows. Only opts.Ordering
+// participates.
 func CompileSparse(a *linalg.CSR, n int, opts Options) *SparseProgram {
-	pr := &SparseProgram{a: a, n: n, m: a.Rows, workers: resolveWorkers(opts, n)}
+	pr := &SparseProgram{a: a, n: n, m: a.Rows}
 	sb := linalg.NewSymBuilder(n)
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
@@ -210,7 +151,7 @@ func CompileSparse(a *linalg.CSR, n int, opts Options) *SparseProgram {
 			}
 		}
 	}
-	pr.sym = sb.CompileProgram(linalg.CompileOptions{Ordering: opts.Ordering, Workers: pr.workers})
+	pr.sym = sb.CompileProgram(linalg.CompileOptions{Ordering: opts.Ordering})
 
 	pr.pairPtr = make([]int, a.Rows+1)
 	for i := 0; i < a.Rows; i++ {
@@ -233,31 +174,22 @@ func CompileSparse(a *linalg.CSR, n int, opts Options) *SparseProgram {
 	for j := 0; j < n; j++ {
 		pr.diagSlot[j] = int32(pr.sym.Slot(j, j))
 	}
-	if pr.workers > 1 {
-		pr.rowPtr = make([]int, pr.workers+1)
-		for i := 0; i <= pr.workers; i++ {
-			pr.rowPtr[i] = i * pr.m / pr.workers
-		}
-	}
 	return pr
 }
 
 // newWorkspace mints one solve's workspace: a numeric factor from the
-// shared symbolic program, the iteration vectors, and (for workers > 1)
-// the per-worker partials and task closures.
+// shared symbolic program and the iteration vectors.
 func (pr *SparseProgram) newWorkspace() *sparseSolver {
 	n, m := pr.n, pr.m
 	s := &sparseSolver{
 		a:        pr.a,
 		n:        n,
 		m:        m,
-		workers:  pr.workers,
 		h:        pr.sym.NewFactor(),
 		pairPtr:  pr.pairPtr,
 		pairSlot: pr.pairSlot,
 		pairProd: pr.pairProd,
 		diagSlot: pr.diagSlot,
-		rowPtr:   pr.rowPtr,
 	}
 	s.grad = linalg.NewVector(n)
 	s.hdiag = linalg.NewVector(n)
@@ -269,17 +201,6 @@ func (pr *SparseProgram) newWorkspace() *sparseSolver {
 	s.dlam = linalg.NewVector(m)
 	s.v = linalg.NewVector(m)
 	s.rp = linalg.NewVector(m)
-
-	if s.workers > 1 {
-		w := s.workers
-		s.hvW = make([][]float64, w)
-		for i := 0; i < w; i++ {
-			i := i
-			s.hvW[i] = make([]float64, len(s.h.Val))
-			s.mvTasks = append(s.mvTasks, &linalg.PoolTask{Fn: func() { s.mvShard(i) }})
-			s.asmTasks = append(s.asmTasks, &linalg.PoolTask{Fn: func() { s.asmShard(i) }})
-		}
-	}
 	return s
 }
 
@@ -287,8 +208,8 @@ func (pr *SparseProgram) newWorkspace() *sparseSolver {
 // with the given objective, right-hand side, and strictly feasible start
 // point. The per-solve workspace is borrowed from the program's pool, so
 // warm calls skip both the symbolic analysis and the workspace
-// allocations. opts.Workers and opts.Ordering are ignored here — both
-// were fixed at CompileSparse.
+// allocations. opts.Ordering is ignored here — it was fixed at
+// CompileSparse.
 func (pr *SparseProgram) Minimize(f DiagObjective, b linalg.Vector, x0 linalg.Vector, opts Options) (*Result, error) {
 	if pr.m == 0 || pr.a.Cols != len(x0) || len(b) != pr.m {
 		return nil, ErrDimension
@@ -312,51 +233,6 @@ func (pr *SparseProgram) N() int { return pr.n }
 // M returns the constraint count the program was compiled for.
 func (pr *SparseProgram) M() int { return pr.m }
 
-// mvShard computes rows [rowPtr[w], rowPtr[w+1]) of the current mat-vec:
-// per-row dot products in ascending index order, so the result is
-// bitwise identical to the sequential computation.
-func (s *sparseSolver) mvShard(w int) {
-	a, x := s.a, s.mvX
-	for i := s.rowPtr[w]; i < s.rowPtr[w+1]; i++ {
-		sum := 0.0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			sum += a.Val[p] * x[a.Col[p]]
-		}
-		s.mvDst[i] = sum
-	}
-}
-
-// mulA fills dst = A·x.
-func (s *sparseSolver) mulA(x, dst linalg.Vector) {
-	if s.mvTasks != nil {
-		s.mvX, s.mvDst = x, dst
-		linalg.RunTasks(s.mvTasks, &s.wg)
-		return
-	}
-	s.a.MulVec(x, dst)
-}
-
-// addRows adds Σ (λᵢ/sᵢ)·aᵢaᵢᵀ over the rows [lo, hi) into the Hessian
-// values hv.
-func (s *sparseSolver) addRows(hv []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		w := s.lam[i] / s.slack[i]
-		for k := s.pairPtr[i]; k < s.pairPtr[i+1]; k++ {
-			hv[s.pairSlot[k]] += w * s.pairProd[k]
-		}
-	}
-}
-
-// asmShard accumulates its row shard's constraint term into this
-// worker's Hessian partial.
-func (s *sparseSolver) asmShard(w int) {
-	hw := s.hvW[w]
-	for k := range hw {
-		hw[k] = 0
-	}
-	s.addRows(hw, s.rowPtr[w], s.rowPtr[w+1])
-}
-
 // factor assembles H = ∇²f(x) + Aᵀdiag(λ/s)A and factors it.
 func (s *sparseSolver) factor(x linalg.Vector) error {
 	s.h.ZeroVals()
@@ -365,17 +241,11 @@ func (s *sparseSolver) factor(x linalg.Vector) error {
 	for j := 0; j < s.n; j++ {
 		hv[s.diagSlot[j]] += s.hdiag[j]
 	}
-	if s.asmTasks != nil {
-		linalg.RunTasks(s.asmTasks, &s.wg)
-		// Reduce the per-worker partials in fixed worker order —
-		// deterministic for a fixed worker count.
-		for _, hw := range s.hvW {
-			for k := range hw {
-				hv[k] += hw[k]
-			}
+	for i := 0; i < s.m; i++ {
+		w := s.lam[i] / s.slack[i]
+		for k := s.pairPtr[i]; k < s.pairPtr[i+1]; k++ {
+			hv[s.pairSlot[k]] += w * s.pairProd[k]
 		}
-	} else {
-		s.addRows(hv, 0, s.m)
 	}
 	if _, err := s.h.Factor(); err != nil {
 		return fmt.Errorf("%w: %v", ErrNumerical, err)
@@ -391,7 +261,7 @@ func (s *sparseSolver) direction() {
 	s.a.AddMulVecT(s.v, s.rhs)
 	s.rhs.Scale(-1)
 	s.h.SolveInto(s.rhs, s.dir)
-	s.mulA(s.dir, s.ds)
+	s.a.MulVec(s.dir, s.ds)
 	for i, adx := range s.ds {
 		s.dlam[i] = s.v[i] - s.lam[i] + s.lam[i]/s.slack[i]*adx
 		s.ds[i] = -s.rp[i] - adx
@@ -453,7 +323,7 @@ func (s *sparseSolver) estimateT0(x linalg.Vector, tol float64) float64 {
 // t* the barrier's centrality estimate, so a warm start near the optimum
 // begins with a small gap while a cold one (t* clamped to 1) keeps μ₀ = 1.
 func (s *sparseSolver) start(x linalg.Vector, opts Options, tol float64) error {
-	s.mulA(x, s.slack)
+	s.a.MulVec(x, s.slack)
 	for i := range s.slack {
 		s.slack[i] = s.b[i] - s.slack[i]
 	}
@@ -479,7 +349,7 @@ func (s *sparseSolver) start(x linalg.Vector, opts Options, tol float64) error {
 // r_d below the rounding floor of the next step's dual update). Zero
 // allocations.
 func (s *sparseSolver) iterate(x linalg.Vector, tol float64) (bool, error) {
-	s.mulA(x, s.rp)
+	s.a.MulVec(x, s.rp)
 	for i := range s.rp {
 		s.rp[i] += s.slack[i] - s.b[i]
 	}
@@ -602,9 +472,7 @@ func (s *sparseSolver) minimize(x0 linalg.Vector, opts Options) (*Result, error)
 // compiles the Newton-matrix pattern, a fill-reducing ordering, and the
 // symbolic factorization once, after which every iteration runs
 // allocation-free. a must have at least one row (ErrDimension
-// otherwise). Options.Workers > 1 (or 0 on a large enough system with
-// GOMAXPROCS > 1) runs the factorization and per-iteration loops on the
-// shared worker pool; concurrent SparseMinimize calls are independent.
+// otherwise). Concurrent SparseMinimize calls are independent.
 func SparseMinimize(f DiagObjective, a *linalg.CSR, b linalg.Vector, x0 linalg.Vector, opts Options) (*Result, error) {
 	n := len(x0)
 	if a == nil || a.Rows == 0 || a.Cols != n || len(b) != a.Rows {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -48,11 +49,6 @@ type ContinuousOptions struct {
 	// to) is unchanged — only the centering work shrinks. Stale or
 	// infeasible warm data falls back to the cold start silently.
 	Warm *WarmStart
-	// Workers caps the parallelism of the sparse kernel (elimination-tree
-	// factorization, constraint assembly, mat-vec loops). 0 selects
-	// automatically by system size and GOMAXPROCS; 1 or negative forces
-	// the sequential path (the bisection knob). See convex.Options.
-	Workers int
 	// Ordering forces the sparse kernel's fill-reducing ordering; the
 	// zero value picks the cheaper of RCM and nested dissection.
 	Ordering convex.Ordering
@@ -257,7 +253,9 @@ func (p *Problem) solveGP(smax, alpha float64, opts ContinuousOptions) ([]float6
 	}
 
 	// Strictly feasible start: from the previous speeds when a usable warm
-	// start is given, otherwise the cold construction.
+	// start is given, otherwise the cold construction. When rounding puts
+	// it on the boundary, the kernel rejects it and marginStart rebuilds
+	// it from the same durations.
 	x0 := p.warmStartPoint(opts.Warm, lo, hi, rn)
 	warm := x0 != nil
 	if !warm {
@@ -267,6 +265,11 @@ func (p *Problem) solveGP(smax, alpha float64, opts ContinuousOptions) ([]float6
 	}
 	obj := newEnergyObjective(wn, alpha)
 	res, err := minimizeGP(obj, ker.a, ker.prog, b, x0, warm, opts)
+	if errors.Is(err, convex.ErrInfeasibleStart) {
+		if x0, err = p.marginStart(x0[n:], rn); err == nil {
+			res, err = minimizeGP(obj, ker.a, ker.prog, b, x0, warm, opts)
+		}
+	}
 	if err != nil {
 		return nil, nil, Stats{}, fmt.Errorf("core: continuous solve failed: %w", err)
 	}
@@ -394,7 +397,6 @@ func minimizeGP(obj *energyObjective, a *linalg.CSR, prog *convex.SparseProgram,
 	copts := convex.Options{
 		Tol:      tol * math.Max(1, obj.Value(x0)),
 		AutoT0:   warm,
-		Workers:  opts.Workers,
 		Ordering: opts.Ordering,
 	}
 	if prog == nil {
@@ -449,6 +451,43 @@ func (p *Problem) startPoint(d, rn []float64, m float64) (linalg.Vector, error) 
 		x0[i] = nu * pa.EarliestFinish[i]
 		x0[n+i] = d[i]
 	}
+	return x0, nil
+}
+
+// marginStart rebuilds the interior start from durations d when the
+// scaled one rounds out of the interior. startPoint opens a precedence
+// row u→v by only (ν−1)·d_v, and with a deadline 1e-9 above the minimum
+// (ν−1 ≈ 3e-10) and a light task (d_v ≈ 5e-8) that is below the
+// rounding of completion times near 1. Here every task's finish time
+// instead carries an additive margin δ per hop — the earliest finish
+// times under durations d + δ — with δ an even share of the deadline
+// room 1 − makespan(d) over the longest path's tasks, so every
+// precedence, start and deadline row keeps slack δ.
+func (p *Problem) marginStart(d, rn []float64) (linalg.Vector, error) {
+	n := len(d)
+	ms, err := p.G.MakespanFrom(d, rn)
+	if err != nil {
+		return nil, err
+	}
+	padded := make([]float64, n)
+	for i := range padded {
+		padded[i] = 1
+	}
+	hops, err := p.G.MakespanFrom(padded, nil)
+	if err != nil {
+		return nil, err
+	}
+	delta := (1 - ms) / (hops + 1)
+	for i := range padded {
+		padded[i] = d[i] + delta
+	}
+	pa, err := p.G.AnalyzeFrom(padded, rn, 1)
+	if err != nil {
+		return nil, err
+	}
+	x0 := linalg.NewVector(2 * n)
+	copy(x0, pa.EarliestFinish)
+	copy(x0[n:], d)
 	return x0, nil
 }
 

@@ -101,19 +101,17 @@ func compileContinuousKernel(g *graph.Graph, hasHi bool, opts ContinuousOptions)
 	a := ab.Build()
 	return &continuousKernel{
 		edges: edges, rowsDropped: rowsDropped, hasHi: hasHi, rows: rows, a: a,
-		prog: convex.CompileSparse(a, 2*n, convex.Options{Ordering: opts.Ordering, Workers: opts.Workers}),
+		prog: convex.CompileSparse(a, 2*n, convex.Options{Ordering: opts.Ordering}),
 		topo: topo, down: down,
 	}
 }
 
 // kernelKey identifies one compiled kernel: the graph's structural
 // fingerprint plus every option that changes the compiled artifact —
-// the hi-row block, the worker count baked into the sparse program, and
-// the ordering selection.
+// the hi-row block and the ordering selection.
 type kernelKey struct {
 	fp       [32]byte
 	hasHi    bool
-	workers  int
 	ordering convex.Ordering
 }
 
@@ -141,7 +139,7 @@ func NewKernelCache(cap int) *KernelCache {
 // first insertion wins and the duplicate is dropped — acceptable, since
 // entries are interchangeable and the race is rare.
 func (c *KernelCache) kernel(g *graph.Graph, hasHi bool, opts ContinuousOptions) *continuousKernel {
-	key := kernelKey{fp: g.StructuralFingerprint(), hasHi: hasHi, workers: opts.Workers, ordering: opts.Ordering}
+	key := kernelKey{fp: g.StructuralFingerprint(), hasHi: hasHi, ordering: opts.Ordering}
 	if ker, ok := c.lru.Get(key); ok {
 		c.hits.Add(1)
 		return ker

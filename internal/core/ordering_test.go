@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/convex"
@@ -11,8 +12,8 @@ import (
 // Ordering-equivalence suite: nested dissection and RCM must produce the
 // same speeds and energy to 1e-9 across workload families and solve
 // variants — the ordering only permutes the Newton systems, never the
-// optimum. Plus determinism: the parallel kernel is bit-reproducible for
-// a fixed worker count.
+// optimum. Plus determinism: the kernel gives the same bits on any core
+// count.
 
 func TestOrderingEquivalenceAcrossFamilies(t *testing.T) {
 	const smax = 2.0
@@ -93,9 +94,14 @@ func TestOrderingEquivalenceAcrossFamilies(t *testing.T) {
 	}
 }
 
-func TestParallelKernelDeterministicSpeeds(t *testing.T) {
+// TestKernelDeterministicAcrossGOMAXPROCS pins that the interior point's
+// answer does not depend on the core count: a 1,100-task layered DAG
+// (2,200 variables, a size at which the kernel once switched to sharded
+// loops and a parallel factorization) must give the same energy bits,
+// speeds and iteration count at GOMAXPROCS 1, 2 and 4.
+func TestKernelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	const smax = 2.0
-	g, err := workload.FromSeed("layered", 600, 77, 0.5, 3)
+	g, err := workload.FromSeed("layered", 1100, 77, 0.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,30 +113,32 @@ func TestParallelKernelDeterministicSpeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ContinuousOptions{Workers: 4}
-	a, err := p.SolveContinuousNumeric(smax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.SolveContinuousNumeric(smax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, _ := a.Speeds()
-	sb, _ := b.Speeds()
-	for i := range sa {
-		if sa[i] != sb[i] {
-			t.Fatalf("speed[%d] not bit-reproducible across runs with fixed workers: %.17g vs %.17g",
-				i, sa[i], sb[i])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *Solution
+	var refSpeeds []float64
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		sol, err := p.SolveContinuousNumeric(smax, ContinuousOptions{})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
-	}
-	// And the parallel optimum agrees with the sequential one to 1e-9.
-	serial, err := p.SolveContinuousNumeric(smax, ContinuousOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(serial.Energy-a.Energy) / math.Max(1, serial.Energy); rel > 1e-9 {
-		t.Fatalf("parallel energy %.15g vs serial %.15g (rel %g)", a.Energy, serial.Energy, rel)
+		speeds, err := sol.Speeds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref, refSpeeds = sol, speeds
+			continue
+		}
+		if sol.Energy != ref.Energy || sol.Stats.Newton != ref.Stats.Newton {
+			t.Fatalf("GOMAXPROCS %d: energy %.17g in %d iterations, GOMAXPROCS 1: %.17g in %d",
+				procs, sol.Energy, sol.Stats.Newton, ref.Energy, ref.Stats.Newton)
+		}
+		for i := range speeds {
+			if speeds[i] != refSpeeds[i] {
+				t.Fatalf("GOMAXPROCS %d: speed[%d] %.17g, GOMAXPROCS 1: %.17g", procs, i, speeds[i], refSpeeds[i])
+			}
+		}
 	}
 }
 

@@ -6,20 +6,14 @@ import "sort"
 //
 //   - Reverse Cuthill–McKee (rcmOrder, sparseldl.go): minimizes the
 //     envelope, which is ideal for long thin graphs (chains, pipelines)
-//     whose factors are banded — but its elimination tree degenerates to
-//     a path, leaving nothing for the parallel factorization to overlap.
+//     whose factors are banded.
 //
 //   - Nested dissection (ndOrder, below): recursively bisects the
 //     pattern graph through small vertex separators found on BFS level
-//     sets, orders each half first and the separator last. Fill stays
-//     confined to the separator borders, and — the property the parallel
-//     numeric factorization exploits — the two halves become independent
-//     subtrees of the elimination tree, so they factor concurrently.
+//     sets, orders each half first and the separator last, so fill stays
+//     confined to the separator borders.
 //
-// OrderAuto builds both and keeps the cheaper symbolic factor; when a
-// parallel factorization was requested it prefers nested dissection
-// unless its fill is more than ndParallelFillSlack× worse, since subtree
-// concurrency usually buys back a moderate fill overhead.
+// OrderAuto builds both and keeps the cheaper symbolic factor.
 
 // Ordering selects the fill-reducing ordering applied by
 // SymBuilder.CompileOpts.
@@ -27,8 +21,7 @@ type Ordering int
 
 const (
 	// OrderAuto compares the symbolic factor of both orderings and keeps
-	// the cheaper one (nested dissection is preferred under parallel
-	// factorization unless its fill is much worse).
+	// the cheaper one (nested dissection on a tie).
 	OrderAuto Ordering = iota
 	// OrderRCM forces reverse Cuthill–McKee.
 	OrderRCM
@@ -55,9 +48,6 @@ const (
 	// ndMinDim is the matrix dimension below which OrderAuto does not
 	// bother building the nested-dissection candidate.
 	ndMinDim = 64
-	// ndParallelFillSlack is the fill overhead OrderAuto accepts from
-	// nested dissection in exchange for elimination-tree parallelism.
-	ndParallelFillSlack = 1.5
 )
 
 // ndCtx carries the scratch state of one ndOrder run. All arrays are
@@ -94,7 +84,7 @@ func ndOrder(n int, adjPtr, adj, deg []int) []int {
 // peeled off one BFS at a time; each connected piece either becomes a CM
 // leaf or splits through a level-set separator, halves first, separator
 // last (so the separator columns eliminate after both halves and the
-// halves become independent elimination-tree subtrees).
+// halves become disjoint elimination-tree subtrees).
 func (c *ndCtx) dissect(set []int, out []int) []int {
 	for len(set) > 0 {
 		if len(set) <= ndLeafSize {

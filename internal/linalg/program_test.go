@@ -107,49 +107,3 @@ func TestSymProgramConcurrentFactor(t *testing.T) {
 		t.Fatalf("concurrent factors ran %d extra symbolic analyses, want 0", got-before)
 	}
 }
-
-// TestSymProgramConcurrentParallelFactor repeats the shared-program race
-// pin on a program large enough to carry a parallel elimination-tree
-// schedule: the schedule itself is shared read-only state, and each
-// borrowed factor brings its own parallel numeric scratch.
-func TestSymProgramConcurrentParallelFactor(t *testing.T) {
-	const (
-		n          = 600
-		goroutines = 4
-		iters      = 2
-	)
-	prog, offs := sharedPattern(rand.New(rand.NewSource(7)), n, CompileOptions{Workers: 4})
-	if !prog.Parallel() {
-		t.Skip("pattern did not earn a parallel schedule")
-	}
-
-	var wg sync.WaitGroup
-	for gid := 0; gid < goroutines; gid++ {
-		wg.Add(1)
-		go func(gid int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				s := prog.Acquire()
-				dense, rhs := assemble(s, offs, n, int64(100+gid*10+it))
-				if _, err := s.Factor(); err != nil {
-					t.Error(err)
-					return
-				}
-				x := NewVector(n)
-				s.SolveInto(rhs, x)
-				prog.Release(s)
-				// Residual check against the dense mirror: ‖Ax − rhs‖∞
-				// small, without paying a dense O(n³) reference solve.
-				ax := NewVector(n)
-				dense.MulVec(x, ax)
-				for i := range ax {
-					if math.Abs(ax[i]-rhs[i]) > 1e-7*(1+math.Abs(rhs[i])) {
-						t.Errorf("goroutine %d iter %d: residual[%d] = %g", gid, it, i, ax[i]-rhs[i])
-						break
-					}
-				}
-			}
-		}(gid)
-	}
-	wg.Wait()
-}

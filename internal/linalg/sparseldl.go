@@ -22,9 +22,6 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // the symbolic LDLᵀ analysis — elimination tree and column counts —
 // exactly once; every later Factor reuses the symbolic data and
 // preallocated workspaces, so refactoring and solving allocate nothing.
-// With CompileOptions.Workers > 1 Factor runs independent elimination-
-// tree subtrees concurrently (parallel.go) and stays bit-identical to
-// the sequential factorization.
 //
 // Values live in Val, addressed by the slots Slot returns; assembly is
 //
@@ -65,22 +62,16 @@ type SparseSym struct {
 	lnzw     []int
 	w        []float64
 	factored bool
-
-	// Parallel per-factor state (nil on the sequential path); the shard
-	// row lists and top set inside are shared with the SymProgram's
-	// compiled schedule. See parallel.go.
-	par *parState
 }
 
 // SymProgram is the immutable outcome of one symbolic compilation: the
 // fill-reducing ordering, the permuted pattern, the elimination tree and
-// column counts, the slot maps, and (when requested) the parallel
-// factorization schedule. It is safe for concurrent use: N goroutines can
-// each hold their own SparseSym factor minted by NewFactor (or borrowed
-// via Acquire/Release) against one shared program, because every shared
-// slice is read-only after compilation — only the per-factor numeric
-// state (values, factor storage, scratch vectors) is mutated by
-// Factor/SolveInto.
+// column counts, and the slot maps. It is safe for concurrent use: N
+// goroutines can each hold their own SparseSym factor minted by
+// NewFactor (or borrowed via Acquire/Release) against one shared
+// program, because every shared slice is read-only after compilation —
+// only the per-factor numeric state (values, factor storage, scratch
+// vectors) is mutated by Factor/SolveInto.
 //
 // This is the unit that structure-keyed caches store: two problems with
 // the same sparsity pattern share one SymProgram and skip the ordering
@@ -99,10 +90,6 @@ type SymProgram struct {
 	parent []int
 	lnz    []int
 	lp     []int
-
-	// Compiled parallel schedule (nil = sequential factors): shard row
-	// lists and the top set, shared by every factor's parState.
-	sched *parSchedule
 
 	// pool recycles factors across solves (Acquire/Release).
 	pool sync.Pool
@@ -150,40 +137,30 @@ func (b *SymBuilder) Add(i, j int) {
 }
 
 // CompileOptions tunes CompileOpts: which fill-reducing ordering to
-// apply and how many workers Factor may use.
+// apply.
 type CompileOptions struct {
 	// Ordering selects RCM, nested dissection, or automatic selection
-	// (cheapest symbolic factor by FactorNNZ; nested dissection is
-	// preferred under parallel factorization unless its fill exceeds
-	// ndParallelFillSlack× the RCM fill).
+	// (the cheaper symbolic factor by FactorNNZ).
 	Ordering Ordering
-	// Workers caps the concurrency of Factor. 0 or 1 keeps the numeric
-	// factorization on the exact sequential path; larger values enable
-	// elimination-tree subtree parallelism when the matrix has at least
-	// parallelMinDim columns and the tree splits into enough subtrees.
-	Workers int
 }
 
 // Compile fixes the pattern with the default options: automatic ordering
-// selection and a sequential factorization. The builder must not be
-// reused.
+// selection. The builder must not be reused.
 func (b *SymBuilder) Compile() *SparseSym {
 	return b.CompileOpts(CompileOptions{})
 }
 
 // CompileOpts fixes the pattern: dedupe, fill-reducing ordering, the
-// permuted upper-triangular storage, the symbolic LDLᵀ analysis, and
-// (when requested and profitable) the parallel factorization schedule.
+// permuted upper-triangular storage, and the symbolic LDLᵀ analysis.
 // The builder must not be reused.
 func (b *SymBuilder) CompileOpts(opts CompileOptions) *SparseSym {
 	return b.CompileProgram(opts).NewFactor()
 }
 
 // CompileProgram runs the one-time structural work — dedupe, ordering,
-// symbolic LDLᵀ, parallel schedule — and returns it as a shareable
-// SymProgram without allocating any numeric storage. The builder must
-// not be reused. Factors are minted with NewFactor or borrowed with
-// Acquire/Release.
+// symbolic LDLᵀ — and returns it as a shareable SymProgram without
+// allocating any numeric storage. The builder must not be reused.
+// Factors are minted with NewFactor or borrowed with Acquire/Release.
 func (b *SymBuilder) CompileProgram(opts CompileOptions) *SymProgram {
 	n := b.n
 	for k := 0; k < n; k++ {
@@ -235,18 +212,12 @@ func (b *SymBuilder) CompileProgram(opts CompileOptions) *SymProgram {
 		perm = rcmOrder(n, adjPtr, adj, deg)
 		if n >= ndMinDim {
 			nd := ndOrder(n, adjPtr, adj, deg)
-			rcmFill := symbolicFill(n, pairs, perm)
-			ndFill := symbolicFill(n, pairs, nd)
-			if ndFill <= rcmFill ||
-				(opts.Workers > 1 && float64(ndFill) <= ndParallelFillSlack*float64(rcmFill)) {
+			if symbolicFill(n, pairs, nd) <= symbolicFill(n, pairs, perm) {
 				perm = nd
 			}
 		}
 	}
 	prog := buildProgram(n, pairs, perm)
-	if opts.Workers > 1 && n >= parallelMinDim {
-		prog.sched = buildParSchedule(prog, opts.Workers)
-	}
 	symbolicAnalyses.Add(1)
 	return prog
 }
@@ -280,9 +251,6 @@ func (p *SymProgram) NewFactor() *SparseSym {
 	}
 	for i := range s.flag {
 		s.flag[i] = -1
-	}
-	if p.sched != nil {
-		s.par = newParState(s, p.sched)
 	}
 	return s
 }
@@ -321,10 +289,6 @@ func (p *SymProgram) Slot(i, j int) int {
 	}
 	return -1
 }
-
-// Parallel reports whether factors minted from this program use the
-// parallel elimination-tree schedule.
-func (p *SymProgram) Parallel() bool { return p.sched != nil }
 
 // symbolicFill returns the factor entry count (FactorNNZ) the given
 // ordering would produce, via the etree column-count analysis on the
@@ -485,11 +449,11 @@ func (s *SparseSym) ZeroVals() {
 }
 
 // processRow runs row k of the up-looking numeric factorization against
-// the given scratch vectors (s.y/s.pat/s.flag sequentially, per-worker
-// copies in parallel — the float operation sequence is identical either
-// way, which is what makes the parallel factor bit-reproducible).
-// Returns false when the pivot is not strictly positive; y is clean on
-// both outcomes, so a failed call can retry immediately.
+// the scratch vectors y, pat and flag (s.y, s.pat and s.flag). It stays
+// a function of its own: folded into factorOnce's loop, the same
+// operations ran about 20% slower on a 2,048-column pattern. Returns
+// false when the pivot is not strictly positive; y is clean on both
+// outcomes, so a failed call can retry immediately.
 func (s *SparseSym) processRow(k int, y []float64, pat, flag []int) bool {
 	n := s.n
 	// Scatter column k of the permuted upper triangle into y and
@@ -537,9 +501,6 @@ func (s *SparseSym) processRow(k int, y []float64, pat, flag []int) bool {
 // It fails (restoring workspace invariants) when a pivot is not strictly
 // positive — the matrix is numerically not positive definite.
 func (s *SparseSym) factorOnce() error {
-	if s.par != nil {
-		return s.par.factor(s)
-	}
 	for k := 0; k < s.n; k++ {
 		if !s.processRow(k, s.y, s.pat, s.flag) {
 			return ErrNotPositiveDefinite

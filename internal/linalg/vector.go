@@ -4,6 +4,9 @@
 // Cuthill–McKee or nested dissection (order.go) — whose symbolic
 // factorization is computed once and reused across refactorizations, so
 // each Newton iteration factors and solves with zero heap allocations.
+// Every kernel runs sequentially on its caller's goroutine, so its
+// results do not depend on the core count; concurrent solves each hold
+// their own factor of one shared program (SymProgram).
 // No dependencies outside the standard library.
 package linalg
 

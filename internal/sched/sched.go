@@ -136,6 +136,9 @@ func FromProfilesAt(g *graph.Graph, profiles []Profile, release []float64) (*Sch
 	if len(profiles) != g.N() {
 		return nil, fmt.Errorf("sched: %d profiles for %d tasks", len(profiles), g.N())
 	}
+	if release != nil && len(release) != g.N() {
+		return nil, fmt.Errorf("sched: %d release times for %d tasks", len(release), g.N())
+	}
 	durations := make([]float64, g.N())
 	energy := 0.0
 	for i, p := range profiles {
@@ -146,20 +149,39 @@ func FromProfilesAt(g *graph.Graph, profiles []Profile, release []float64) (*Sch
 		durations[i] = p.Duration()
 		energy += p.Energy()
 	}
-	pa, err := g.AnalyzeFrom(durations, release, 0)
+	// One forward pass in topological order. Each start is the latest of
+	// its release and its predecessors' finishes, taken as they are:
+	// recovering it as finish − duration would round, and on times near
+	// 1e7 land a few ulps before a predecessor's finish.
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	start := make([]float64, g.N())
-	for i := range start {
-		start[i] = pa.EarliestFinish[i] - durations[i]
+	finish := make([]float64, g.N())
+	makespan := 0.0
+	for _, v := range order {
+		at := 0.0
+		if release != nil && release[v] > 0 {
+			at = release[v]
+		}
+		for _, u := range g.Pred(v) {
+			if finish[u] > at {
+				at = finish[u]
+			}
+		}
+		start[v] = at
+		finish[v] = at + durations[v]
+		if finish[v] > makespan {
+			makespan = finish[v]
+		}
 	}
 	return &Schedule{
 		G:        g,
 		Profiles: profiles,
 		Start:    start,
-		Finish:   pa.EarliestFinish,
-		Makespan: pa.Makespan,
+		Finish:   finish,
+		Makespan: makespan,
 		Energy:   energy,
 	}, nil
 }

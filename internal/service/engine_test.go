@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/platform"
@@ -405,30 +404,39 @@ func TestSolveCancellation(t *testing.T) {
 }
 
 // TestSolveOverloadShedding: beyond MaxBacklog queued solves, new work is
-// refused with ErrOverloaded instead of growing the queue.
+// refused with ErrOverloaded instead of growing the queue. A stream holds
+// the single backlog slot: it is admitted before it emits, and its first
+// send blocks until the test releases it, so the slot is held for as
+// long as the test needs it.
 func TestSolveOverloadShedding(t *testing.T) {
 	e := NewEngine(Options{Workers: 1, MaxBacklog: 1, CacheSize: -1})
 	ctx := context.Background()
 
-	slow := slowRequest() // ~tens of ms: holds the single backlog slot
-	started := make(chan struct{})
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	em := NewStreamEmitter(func(StreamEvent) error {
+		once.Do(func() { close(entered) })
+		<-gate
+		return nil
+	})
 	done := make(chan error, 1)
 	go func() {
-		close(started)
-		_, err := e.Solve(ctx, slow)
+		_, err := e.SolveStream(ctx, slowRequest(), em)
 		done <- err
 	}()
-	<-started
-	// Wait for the slow solve to occupy the backlog slot.
-	for i := 0; e.adm.Depth() == 0 && i < 1000; i++ {
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("stream returned before its first event: %v", err)
 	}
 
-	if _, err := e.Solve(ctx, chainRequest()); !errors.Is(err, ErrOverloaded) {
+	_, err := e.Solve(ctx, chainRequest())
+	close(gate)
+	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 	if err := <-done; err != nil {
-		t.Fatalf("slow solve failed: %v", err)
+		t.Fatalf("held stream failed: %v", err)
 	}
 	// With the backlog drained, the same request must now be admitted.
 	if _, err := e.Solve(ctx, chainRequest()); err != nil {

@@ -34,9 +34,11 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run NONE ./...
 
 # verify chains the full gate: static checks (the formatting check and go
-# vet, as CI's lint job runs them), the race-detected suite, and a one-shot
-# pass over every benchmark (so perf regressions break loudly).
-verify: fmt vet race bench
+# vet, as CI's lint job runs them), the race-detected suite, a one-shot
+# pass over every benchmark (so perf regressions break loudly), and the
+# benchmark module's own vet and tests (so a tree perfbench cannot build
+# fails here, not in the benchmark run).
+verify: fmt vet race bench perfbench-test
 
 # bench-all runs the full energybench scenario registry (every graph family
 # × energy model × solve path) and writes the canonical report.

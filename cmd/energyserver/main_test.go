@@ -104,8 +104,9 @@ func TestGoldenFork(t *testing.T) {
 // TestGoldenVddAndDiscrete: example_test.go's single-task instance (w = 2,
 // D = 2, modes {0.5, 2}). Hopping mixes the modes to average speed 1 —
 // splitting w = x at 2 and 2−x at 0.5 with x/2 + (2−x)/0.5 = 2 gives
-// x = 4/3 and E = 4x − (2−x)/2... solved exactly by the LP: 5.5. Forcing a
-// single mode rounds up to 2: E = 2·2² = 8.
+// x = 4/3 and E = 4x + (2−x)/4 = 5.5. A single task is a chain, so the
+// chain closed form answers. Forcing a single mode rounds up to 2:
+// E = 2·2² = 8.
 func TestGoldenVddAndDiscrete(t *testing.T) {
 	srv := newGoldenServer(t)
 
@@ -113,7 +114,7 @@ func TestGoldenVddAndDiscrete(t *testing.T) {
 		"graph":{"tasks":[{"name":"only","weight":2}],"edges":[]},
 		"deadline":2,
 		"model":{"kind":"vdd-hopping","modes":[0.5,2]}}`)
-	if vdd.Algorithm != "vdd-lp" {
+	if vdd.Algorithm != "vdd-chain-closed-form" {
 		t.Fatalf("algorithm = %q", vdd.Algorithm)
 	}
 	if math.Abs(vdd.Energy-5.5) > 1e-9 {

@@ -21,7 +21,9 @@
 //     series-parallel graphs (Theorem 2), and a primal-dual interior-point
 //     solver for the geometric program on arbitrary DAGs.
 //   - Vdd-Hopping: a fixed mode set, switchable mid-task. Solved exactly by
-//     linear programming (Theorem 3).
+//     linear programming (Theorem 3), a simplex priced by Dantzig's rule;
+//     chains in closed form, every task between the two modes that bracket
+//     W/D.
 //   - Discrete: a fixed mode set, one mode per task. NP-complete
 //     (Theorem 4); exact branch-and-bound and an exact Pareto-frontier
 //     dynamic program for series-parallel shapes, plus greedy and round-up
@@ -59,10 +61,16 @@
 // across independent subgraphs sharing the deadline), classifies each as
 // chain / fork / join / tree / series-parallel / general DAG, and routes it
 // to the cheapest solver its structure admits — closed forms and the
-// equivalent-weight algebra where Theorems 1–2 apply, the exact Pareto DP on
-// series-parallel shapes, branch-and-bound or the interior point only where
-// nothing cheaper exists. The resulting Plan is explainable (per-component
-// solver, rationale, a-priori bound factor, cost estimate) and executable:
+// equivalent-weight algebra where Theorems 1–2 apply, the Vdd-Hopping chain
+// closed form (every task at W/(D − r₀) between its two bracketing modes,
+// residual chains included unless a release sits past the head), the exact
+// Pareto DP on series-parallel shapes, branch-and-bound, the interior point
+// or the Vdd-Hopping LP only where nothing cheaper exists. SolveAuto
+// classifies a component only where its row depends on the class:
+// Continuous and Discrete components without residual constraints, and
+// every Vdd-Hopping component, which it checks for a chain. The resulting
+// Plan is explainable (per-component solver, rationale, a-priori bound
+// factor, cost estimate) and executable:
 // Execute runs it on the planner's one component executor — the same
 // pipeline (split → route → solve → merge) behind the serving layer's solves
 // and streams and the reclaiming runtime's replans — which solves
@@ -188,9 +196,8 @@
 // deviation dirtied run a solver, warm-started from the previous solution
 // (interior-point centering from the previous speeds, branch-and-bound
 // from the previous incumbent, Pareto-DP pruning against the previous
-// energy, a mode-window-restricted Vdd LP with an optimality certificate),
-// while untouched components replay verbatim. On-plan completions cost
-// nothing at all. Warm starts never change an answer — the property suite
+// energy; the Vdd-Hopping solvers start cold), while untouched components
+// replay verbatim. On-plan completions cost nothing at all. Warm starts never change an answer — the property suite
 // pins warm ≡ cold to 1e-9 across all four models — they only shrink the
 // work.
 //

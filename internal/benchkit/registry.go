@@ -12,10 +12,8 @@ var (
 	discModel = service.ModelSpec{Kind: "discrete", Modes: []float64{0.5, 1, 2}}
 	vddModel  = service.ModelSpec{Kind: "vdd-hopping", Modes: []float64{0.5, 1, 2}}
 	incrModel = service.ModelSpec{Kind: "incremental", SMin: 0.5, SMax: 2, Delta: 0.25}
-	// vddLadder is the richer DVFS ladder of the reclaim scenarios: with
-	// twelve modes the warm LP's mode-window restriction prunes most of
-	// the program (each task keeps the ~4 modes bracketing its previous
-	// profile instead of all 12).
+	// vddLadder is the richer twelve-mode DVFS ladder of the reclaim
+	// scenarios.
 	vddLadder = service.ModelSpec{Kind: "vdd-hopping",
 		Modes: []float64{0.5, 0.636, 0.772, 0.909, 1.045, 1.181, 1.318, 1.454, 1.59, 1.727, 1.863, 2}}
 )
@@ -150,11 +148,9 @@ func Registry() []Scenario {
 			Warmup: 1, Reps: 3},
 		{Name: "sp-12-discrete-reclaim-cold", Family: "sp", N: 12, Seed: 42, Model: discModel, Path: PathReclaim,
 			ReclaimCold: true, Warmup: 1, Reps: 3},
-		// Vdd over a twelve-mode ladder: the warm LP restricts each task
-		// to the modes bracketing its previous profile. Mild early-only
-		// jitter keeps the shifted optimum inside the windows, so the
-		// restriction's optimality certificate holds and the full program
-		// is skipped.
+		// Vdd over a twelve-mode ladder, mild early-only jitter. Every
+		// residual of a chain is a chain released at its head, so warm and
+		// cold replans both take the chain closed form.
 		{Name: "chain-24-vdd-reclaim-warm", Family: "chain", N: 24, Seed: 43, Model: vddLadder, Path: PathReclaim,
 			Jitter: workload.Jitter{Seed: 43, Rate: 0.4, Early: 0.12}, Warmup: 1, Reps: 3},
 		{Name: "chain-24-vdd-reclaim-cold", Family: "chain", N: 24, Seed: 43, Model: vddLadder, Path: PathReclaim,

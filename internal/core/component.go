@@ -149,11 +149,17 @@ func (o PlannedOptions) residual() bool {
 // component: the cheapest exact method the model and structure admit, or
 // the Theorem 5 approximation for Incremental.
 func (p *Problem) SolveAuto(m model.Model, opts PlannedOptions) (*Solution, error) {
-	// Only the Continuous and Discrete auto rows read the class, and only
-	// without residual constraints: skip the recognition everywhere else.
+	// The Continuous and Discrete auto rows read the class without
+	// residual constraints, and the Vdd-Hopping rows whether the component
+	// is a chain: skip the recognition everywhere else.
 	sh := Shape{Class: ClassGeneralDAG}
-	if (m.Kind == model.Continuous || m.Kind == model.Discrete) && !opts.residual() {
+	switch {
+	case (m.Kind == model.Continuous || m.Kind == model.Discrete) && !opts.residual():
 		sh = Classify(p.G)
+	case m.Kind == model.VddHopping:
+		if _, ok := p.G.IsChain(); ok {
+			sh.Class = ClassChain
+		}
 	}
 	r, err := SelectRoute(m, AlgoAuto, sh.Class, p.G.N(), opts)
 	if err != nil {

@@ -22,17 +22,16 @@ import (
 // event deviated). Warm starts never change what a solver returns — exact
 // solvers stay exact, approximations keep their bound — they only shrink the
 // work: the interior point starts centering from the previous speed vector,
-// branch-and-bound opens with the previous assignment as incumbent, the
-// Pareto DP prunes against the previous energy, and the Vdd LP restricts
-// each task to the modes bracketing its previous profile (falling back to
-// the full program when the restriction's optimality certificate fails).
-// Stale or infeasible warm data is detected and ignored.
+// branch-and-bound opens with the previous assignment as incumbent, and the
+// Pareto DP prunes against the previous energy. The Vdd-Hopping solvers
+// start cold. Stale or infeasible warm data is detected and ignored.
 type WarmStart struct {
 	// Speeds is the previous constant speed per task (Continuous, Discrete,
 	// Incremental solutions).
 	Speeds []float64
 	// Profiles is the previous per-task speed profile (Vdd-Hopping
-	// solutions, whose tasks hop between modes). When set it takes
+	// solutions, whose tasks hop between modes): no solver reads it, and
+	// the planner replays clean components from it. When set it takes
 	// precedence over Speeds.
 	Profiles []sched.Profile
 }

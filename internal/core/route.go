@@ -129,20 +129,24 @@ func CheckSelector(kind model.Kind, selector string) error {
 // landscape of the paper (Aupy, Benoit, Dufossé, Robert, arXiv:1204.0939).
 // The auto selector routes by class:
 //
-//	class            Continuous                  Discrete          Vdd-Hopping  Incremental
-//	chain            chain-closed-form (T1)      discrete-sp-dp†   vdd-lp (T3)  incremental-approx (T5)
-//	fork             fork-closed-form (T1)       discrete-sp-dp†   vdd-lp (T3)  incremental-approx (T5)
-//	join, tree       tree-equivalent-weight*     discrete-sp-dp†   vdd-lp (T3)  incremental-approx (T5)
-//	series-parallel  sp-equivalent-weight*       discrete-sp-dp†   vdd-lp (T3)  incremental-approx (T5)
-//	general DAG      continuous-interior-point   discrete-bb (T4)  vdd-lp (T3)  incremental-approx (T5)
-//	residual         continuous-interior-point   discrete-bb (T4)  vdd-lp (T3)  incremental-approx (T5)
+//	class            Continuous                  Discrete          Vdd-Hopping             Incremental
+//	chain            chain-closed-form (T1)      discrete-sp-dp†   vdd-chain-closed-form‡  incremental-approx (T5)
+//	fork             fork-closed-form (T1)       discrete-sp-dp†   vdd-lp (T3)             incremental-approx (T5)
+//	join, tree       tree-equivalent-weight*     discrete-sp-dp†   vdd-lp (T3)             incremental-approx (T5)
+//	series-parallel  sp-equivalent-weight*       discrete-sp-dp†   vdd-lp (T3)             incremental-approx (T5)
+//	general DAG      continuous-interior-point   discrete-bb (T4)  vdd-lp (T3)             incremental-approx (T5)
+//	residual         continuous-interior-point   discrete-bb (T4)  vdd-lp (T3)‡            incremental-approx (T5)
 //
 // (*) Theorem 2's equivalent-weight algebra; SolveRoute falls back to the
 // interior point (§2.1) when the finite smax binds. (†) The exact Pareto
 // DP; SolveRoute falls back to branch-and-bound when its frontier budget is
-// hit. A residual component carries release times or a speed floor
-// (opts.Continuous.SMin), constraints the closed forms and the DP cannot
-// express, whatever its class.
+// hit. (‡) Theorem 3 on a chain: every task runs at W/(D − r₀) split
+// between its two bracketing modes, r₀ the head's release. A residual
+// chain keeps this row; SolveRoute falls back to the linear program when a
+// release sits on any task other than the head. A residual component
+// carries release times or a speed floor (opts.Continuous.SMin),
+// constraints the other closed forms and the DP cannot express, whatever
+// its class.
 //
 // The forced selectors, defined for Discrete and Incremental only, name
 // their solver outright: bb → discrete-bb, sp → discrete-sp-dp (rejected
@@ -205,6 +209,10 @@ func SelectRoute(m model.Model, selector string, class Class, n int, opts Planne
 		return Route{Solver: "continuous-interior-point", Rationale: "general DAG: interior-point geometric program (Section 2.1)",
 			BoundFactor: 1, Cost: cubic, Degradable: true}, nil
 	case model.VddHopping:
+		if class == ClassChain {
+			return Route{Solver: "vdd-chain-closed-form", Rationale: "Theorem 3 on a chain: every task runs at W/(D − r₀) between its two bracketing modes; linear program if a release sits past the head",
+				BoundFactor: 1, Cost: nf}, nil
+		}
 		r := Route{Solver: "vdd-lp", Rationale: "Theorem 3: exact linear program, speeds hop between neighboring modes",
 			BoundFactor: 1, Cost: (nf * nm) * (nf * nm), Degradable: !residual}
 		if residual {
@@ -235,12 +243,14 @@ func bbCost(n, nm float64, opts DiscreteOptions) float64 {
 	return math.Min(math.Pow(math.Max(nm, 2), n), float64(opts.maxNodes()))
 }
 
-// SolveRoute runs the solver a Route names on p, with the two documented
+// SolveRoute runs the solver a Route names on p, with the three documented
 // fallbacks: the equivalent-weight algebra falls back to the interior
-// point when the finite smax binds, and the Pareto DP to branch-and-bound
-// when its frontier budget is hit. sh is p's classification (only the SP
-// routes read it). Release times and warm seeds in opts reach every solver
-// that accepts them; they never change an exact solver's optimum.
+// point when the finite smax binds, the Pareto DP to branch-and-bound when
+// its frontier budget is hit, and the Vdd chain closed form to the linear
+// program when a release sits past the chain's head. sh is p's
+// classification (only the SP routes read it). Release times and warm
+// seeds in opts reach every solver that accepts them; they never change an
+// exact solver's optimum.
 func (p *Problem) SolveRoute(m model.Model, solver string, sh Shape, opts PlannedOptions) (*Solution, error) {
 	copts, dopts := opts.Continuous, opts.Discrete
 	switch solver {
@@ -257,8 +267,14 @@ func (p *Problem) SolveRoute(m model.Model, solver string, sh Shape, opts Planne
 		return sol, nil
 	case "continuous-interior-point":
 		return p.SolveContinuousNumeric(m.SMax, copts)
+	case "vdd-chain-closed-form":
+		sol, err := p.SolveVddChain(m, VddOptions{Release: copts.Release})
+		if errors.Is(err, errInteriorRelease) {
+			return p.SolveVddHoppingOpts(m, VddOptions{Release: copts.Release})
+		}
+		return sol, err
 	case "vdd-lp":
-		return p.SolveVddHoppingOpts(m, VddOptions{Release: copts.Release, Warm: copts.Warm})
+		return p.SolveVddHoppingOpts(m, VddOptions{Release: copts.Release})
 	case "discrete-sp-dp":
 		sol, err := p.onSPExpr(sh, func(q *Problem, e *graph.SPExpr) (*Solution, error) { return q.SolveDiscreteSP(m, e, dopts) })
 		if errors.Is(err, ErrSearchLimit) {

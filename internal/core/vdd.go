@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 	"repro/internal/model"
@@ -17,20 +17,14 @@ import (
 //	minimize   Σᵢⱼ sⱼ³ · α(i,j)                     (energy)
 //	subject to Σⱼ sⱼ · α(i,j)  =  wᵢ                (work completion)
 //	           tᵤ + Σⱼ α(v,j) − t_v ≤ 0             for every edge (u,v)
-//	           Σⱼ α(i,j) − tᵢ ≤ 0                   (start ≥ 0)
+//	           Σⱼ α(i,j) − tᵢ ≤ −rᵢ                 (start ≥ release rᵢ)
 //	           tᵢ ≤ D
 
-// VddOptions tunes the Vdd-Hopping LP.
+// VddOptions tunes the Vdd-Hopping solvers.
 type VddOptions struct {
 	// Release gives each task an earliest permitted start (residual
 	// re-solves of an executing schedule); nil means zeros.
 	Release []float64
-	// Warm prunes each task's mode set to the window bracketing its
-	// previous profile (one mode of margin each side). The restriction is
-	// accepted only when its own solution certifies global optimality —
-	// no task leans on a window edge that is not a global edge — so the
-	// answer always matches the full LP; otherwise the full program runs.
-	Warm *WarmStart
 }
 
 // SolveVddHopping solves the LP exactly and extracts per-task speed
@@ -39,9 +33,8 @@ func (p *Problem) SolveVddHopping(m model.Model) (*Solution, error) {
 	return p.SolveVddHoppingOpts(m, VddOptions{})
 }
 
-// SolveVddHoppingOpts is SolveVddHopping with residual release times and an
-// optional warm start (see VddOptions). The result is always the exact
-// optimum of the (release-constrained) Vdd-Hopping program.
+// SolveVddHoppingOpts is SolveVddHopping with residual release times. The
+// result is the exact optimum of the release-constrained program.
 func (p *Problem) SolveVddHoppingOpts(m model.Model, opts VddOptions) (*Solution, error) {
 	if m.Kind != model.VddHopping {
 		return nil, fmt.Errorf("core: SolveVddHopping needs a Vdd-Hopping model, got %s", m.Kind)
@@ -50,227 +43,39 @@ func (p *Problem) SolveVddHoppingOpts(m model.Model, opts VddOptions) (*Solution
 		return nil, err
 	}
 	release := opts.Release
-	if release != nil && !hasRelease(release) {
+	if !hasRelease(release) {
 		release = nil
 	}
-	windows := vddWarmWindows(p, m, opts.Warm)
-	for round := 0; round < 2 && windows != nil; round++ {
-		sol, failed, err := p.solveVddLP(m, release, windows)
-		if err != nil {
-			break // restriction infeasible or degenerate: full program
-		}
-		if len(failed) == 0 {
-			return sol, nil
-		}
-		// The optimum leans on a window edge for these tasks: widen only
-		// them (two modes each side) and retry — one failing task must
-		// not throw away the restriction for the other n−1.
-		windows = widenVddWindows(windows, failed, m.NumModes())
-	}
-	sol, _, err := p.solveVddLP(m, release, nil)
-	return sol, err
-}
-
-// widenVddWindows grows the failing tasks' windows by two modes each side;
-// returns nil when the result no longer restricts anything (full ladder
-// everywhere — the caller should run the unrestricted program).
-func widenVddWindows(windows [][2]int, failed []int, nm int) [][2]int {
-	for _, i := range failed {
-		lo, hi := windows[i][0]-2, windows[i][1]+2
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nm-1 {
-			hi = nm - 1
-		}
-		windows[i] = [2]int{lo, hi}
-	}
-	for _, w := range windows {
-		if w[1]-w[0]+1 < nm {
-			return windows
-		}
-	}
-	return nil
-}
-
-// vddWarmWindows derives per-task mode windows [lo, hi] (inclusive indices
-// into m.Modes) from a previous solution's profiles: the modes the task
-// used, widened by one admissible mode on each side. Returns nil when warm
-// data is absent, malformed, or no task's window is narrower than the full
-// ladder (restriction would buy nothing).
-func vddWarmWindows(p *Problem, m model.Model, warm *WarmStart) [][2]int {
-	n := p.G.N()
-	if warm == nil || len(warm.Profiles) != n {
-		return nil
-	}
-	nm := m.NumModes()
-	if nm <= 2 {
-		return nil
-	}
-	windows := make([][2]int, n)
-	narrower := false
-	for i, prof := range warm.Profiles {
-		lo, hi := nm, -1
-		for _, seg := range prof {
-			if seg.Duration <= 1e-12 {
-				continue
-			}
-			idx := -1
-			for j, s := range m.Modes {
-				if math.Abs(seg.Speed-s) <= 1e-9*math.Max(1, s) {
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
-				return nil // previous profile speaks another mode ladder
-			}
-			if idx < lo {
-				lo = idx
-			}
-			if idx > hi {
-				hi = idx
-			}
-		}
-		if hi < 0 {
-			return nil // empty profile: no usable warm data
-		}
-		lo--
-		hi++
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nm-1 {
-			hi = nm - 1
-		}
-		windows[i] = [2]int{lo, hi}
-		if hi-lo+1 < nm {
-			narrower = true
-		}
-	}
-	if !narrower {
-		return nil
-	}
-	return windows
-}
-
-// solveVddLP assembles and solves the Theorem 3 program over per-task mode
-// subsets (windows nil = the full ladder) with optional release times. The
-// second result is the optimality certificate's failure set: tasks whose
-// solution uses a window-edge mode that is not also a global edge. When it
-// is empty, the per-task energy envelopes agree with the full ladder in a
-// neighborhood of the optimum, so by convexity the restricted optimum is
-// the global one.
-func (p *Problem) solveVddLP(m model.Model, release []float64, windows [][2]int) (*Solution, []int, error) {
-	n := p.G.N()
-	nm := m.NumModes()
-	win := func(i int) (int, int) {
-		if windows == nil {
-			return 0, nm - 1
-		}
-		return windows[i][0], windows[i][1]
-	}
-	// Variable layout: per-task α blocks (window-sized), then the n
-	// completion times.
-	offset := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		lo, hi := win(i)
-		offset[i+1] = offset[i] + (hi - lo + 1)
-	}
-	nalpha := offset[n]
-	nvar := nalpha + n
-	alphaIdx := func(i, j int) int { lo, _ := win(i); return offset[i] + j - lo }
-	tIdx := func(i int) int { return nalpha + i }
-
-	c := make([]float64, nvar)
-	for i := 0; i < n; i++ {
-		lo, hi := win(i)
-		for j := lo; j <= hi; j++ {
-			c[alphaIdx(i, j)] = model.Power(m.Modes[j])
-		}
-	}
-	prob := lp.NewProblem(c)
-	// Work completion.
-	for i := 0; i < n; i++ {
-		row := make([]float64, nvar)
-		lo, hi := win(i)
-		for j := lo; j <= hi; j++ {
-			row[alphaIdx(i, j)] = m.Modes[j]
-		}
-		prob.AddConstraint(row, lp.EQ, p.G.Weight(i))
-	}
-	// Precedence.
-	for _, e := range p.G.Edges() {
-		row := make([]float64, nvar)
-		row[tIdx(e[0])] = 1
-		lo, hi := win(e[1])
-		for j := lo; j <= hi; j++ {
-			row[alphaIdx(e[1], j)] = 1
-		}
-		row[tIdx(e[1])] = -1
-		prob.AddConstraint(row, lp.LE, 0)
-	}
-	// Start ≥ release (0 by default) and deadline.
-	for i := 0; i < n; i++ {
-		row := make([]float64, nvar)
-		lo, hi := win(i)
-		for j := lo; j <= hi; j++ {
-			row[alphaIdx(i, j)] = 1
-		}
-		row[tIdx(i)] = -1
-		rhs := 0.0
-		if release != nil {
-			rhs = -release[i]
-		}
-		prob.AddConstraint(row, lp.LE, rhs)
-	}
-	for i := 0; i < n; i++ {
-		row := make([]float64, nvar)
-		row[tIdx(i)] = 1
-		prob.AddConstraint(row, lp.LE, p.Deadline)
-	}
-
-	res, err := lp.Solve(prob, lp.Options{})
+	res, err := lp.Solve(p.vddProgram(m, release), lp.Options{})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	switch res.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
-		return nil, nil, fmt.Errorf("%w: Vdd-Hopping LP infeasible", ErrInfeasible)
+		return nil, fmt.Errorf("%w: Vdd-Hopping LP infeasible", ErrInfeasible)
 	default:
-		return nil, nil, fmt.Errorf("core: Vdd-Hopping LP ended with status %s", res.Status)
+		return nil, fmt.Errorf("core: Vdd-Hopping LP ended with status %s", res.Status)
 	}
 
-	// Extract profiles (fastest mode first so precedence-critical work
-	// happens early within each task's window — ordering inside a task
-	// changes neither energy nor feasibility) and check the certificate.
-	var failed []int
+	// Extract profiles, fastest mode first so precedence-critical work
+	// happens early within each task's window (ordering inside a task
+	// changes neither energy nor feasibility).
+	n, nm := p.G.N(), m.NumModes()
 	profiles := make([]sched.Profile, n)
-	for i := 0; i < n; i++ {
+	for i := range profiles {
 		var prof sched.Profile
-		lo, hi := win(i)
-		taskFailed := false
-		for j := hi; j >= lo; j-- {
-			d := res.X[alphaIdx(i, j)]
-			if d > 1e-12 {
+		for j := nm - 1; j >= 0; j-- {
+			if d := res.X[i*nm+j]; d > 1e-12 {
 				prof = append(prof, sched.Segment{Speed: m.Modes[j], Duration: d})
-				if windows != nil {
-					if (j == lo && lo > 0) || (j == hi && hi < nm-1) {
-						taskFailed = true
-					}
-				}
 			}
-		}
-		if taskFailed {
-			failed = append(failed, i)
 		}
 		// Guard against tiny work deficits from LP roundoff: rescale the
 		// profile so the executed work matches wᵢ exactly.
 		work := prof.Work()
 		w := p.G.Weight(i)
 		if work <= 0 {
-			return nil, nil, fmt.Errorf("core: task %d received no execution time in LP solution", i)
+			return nil, fmt.Errorf("core: task %d received no execution time in LP solution", i)
 		}
 		if f := w / work; math.Abs(f-1) > 1e-15 {
 			for k := range prof {
@@ -279,19 +84,157 @@ func (p *Problem) solveVddLP(m model.Model, release []float64, windows [][2]int)
 		}
 		profiles[i] = prof
 	}
-	if len(failed) > 0 {
-		return nil, failed, nil
-	}
 	s, err := sched.FromProfilesAt(p.G, profiles, release)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return &Solution{
 		Model:    m,
 		Schedule: s,
 		Energy:   s.Energy,
 		Stats:    Stats{Algorithm: "vdd-lp", Pivots: res.Pivots, Exact: true, BoundFactor: 1},
-	}, nil, nil
+	}, nil
+}
+
+// vddProgram assembles the Theorem 3 program with release times (nil for
+// none). Variable α(i,j) is column i·|modes| + j, and tᵢ follows all of
+// them. It leaves out the rows the others imply, which changes neither the
+// feasible set nor the optimum: a start row where tᵤ ≥ 0 and the row of an
+// edge (u,v) already give t_v − Σⱼ α(v,j) ≥ 0, and a deadline row where
+// tᵢ ≤ t_v ≤ … ≤ t_sink ≤ D already bounds tᵢ.
+func (p *Problem) vddProgram(m model.Model, release []float64) *lp.Problem {
+	n, nm := p.G.N(), m.NumModes()
+	nvar := n*nm + n
+	tIdx := func(i int) int { return n*nm + i }
+	c := make([]float64, nvar)
+	for i := 0; i < n; i++ {
+		for j, s := range m.Modes {
+			c[i*nm+j] = model.Power(s)
+		}
+	}
+	prob := lp.NewProblem(c)
+	row := make([]float64, nvar) // AddConstraint copies it; cleared after each row
+	add := func(rel lp.Rel, rhs float64) {
+		prob.AddConstraint(row, rel, rhs)
+		clear(row)
+	}
+	// Work completion.
+	for i := 0; i < n; i++ {
+		copy(row[i*nm:], m.Modes)
+		add(lp.EQ, p.G.Weight(i))
+	}
+	// Precedence.
+	for _, e := range p.G.Edges() {
+		row[tIdx(e[0])] = 1
+		for j := range nm {
+			row[e[1]*nm+j] = 1
+		}
+		row[tIdx(e[1])] = -1
+		add(lp.LE, 0)
+	}
+	// Start ≥ release on sources and released tasks.
+	for i := 0; i < n; i++ {
+		r := 0.0
+		if release != nil {
+			r = release[i]
+		}
+		if len(p.G.Pred(i)) > 0 && r <= 0 {
+			continue
+		}
+		for j := range nm {
+			row[i*nm+j] = 1
+		}
+		row[tIdx(i)] = -1
+		add(lp.LE, -r)
+	}
+	// Deadline on sinks.
+	for _, i := range p.G.Sinks() {
+		row[tIdx(i)] = 1
+		add(lp.LE, p.Deadline)
+	}
+	return prob
+}
+
+// errInteriorRelease marks a chain whose release times sit past its head:
+// the chain's closed form cannot express them, the linear program can.
+var errInteriorRelease = errors.New("core: a release time past the chain's head")
+
+// SolveVddChain solves a Vdd-Hopping chain in closed form. The chain runs
+// back to back from its head's release r to D, so with L = D − r and
+// s* = W/L every task runs for wᵢ/s*, split between the two modes that
+// bracket s*, or at the slowest mode throughout when s* is below it. That
+// is optimal: the least energy of w work in time d is the perspective
+// d·h(w/d) of h, the piecewise-linear interpolation of s³ over the modes,
+// and Jensen's inequality gives Σᵢ dᵢ·h(wᵢ/dᵢ) ≥ L·h(W/L) whenever
+// Σᵢ dᵢ ≤ L. It fails with errInteriorRelease when a task other than the
+// head has a positive release.
+func (p *Problem) SolveVddChain(m model.Model, opts VddOptions) (*Solution, error) {
+	if m.Kind != model.VddHopping {
+		return nil, fmt.Errorf("core: SolveVddChain needs a Vdd-Hopping model, got %s", m.Kind)
+	}
+	order, ok := p.G.IsChain()
+	if !ok {
+		return nil, fmt.Errorf("core: graph is not a chain")
+	}
+	release := opts.Release
+	if !hasRelease(release) {
+		release = nil
+	}
+	head := 0.0
+	if release != nil {
+		head = release[order[0]]
+		for _, t := range order[1:] {
+			if release[t] > 0 {
+				return nil, errInteriorRelease
+			}
+		}
+	}
+	if err := p.CheckFeasibleFrom(m.SMax, release); err != nil {
+		return nil, err
+	}
+	sStar := p.G.TotalWeight() / (p.Deadline - head)
+	profiles := make([]sched.Profile, p.G.N())
+	for i := range profiles {
+		prof, err := twoModeProfile(m, p.G.Weight(i), sStar)
+		if err != nil {
+			return nil, err
+		}
+		profiles[i] = prof
+	}
+	s, err := sched.FromProfilesAt(p.G, profiles, release)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Model:    m,
+		Schedule: s,
+		Energy:   s.Energy,
+		Stats:    Stats{Algorithm: "vdd-chain-closed-form", Exact: true, BoundFactor: 1},
+	}, nil
+}
+
+// twoModeProfile does w units of work in w/s* time at the two modes that
+// bracket s* (the Ishihara–Yasuura mix, the cheapest way to do so), or at
+// the slowest mode throughout when s* is below it: running faster than
+// necessary there only shortens the task.
+func twoModeProfile(m model.Model, w, sStar float64) (sched.Profile, error) {
+	if sStar < m.SMin {
+		return sched.ConstantProfile(w, m.SMin), nil
+	}
+	lo, hi, err := m.Bracket(sStar)
+	if err != nil {
+		return nil, err
+	}
+	if hi-lo < 1e-12*hi { // s* is (numerically) a mode
+		return sched.ConstantProfile(w, hi), nil
+	}
+	// Time x at hi, d−x at lo with lo·(d−x) + hi·x = w.
+	d := w / sStar
+	x := (w - lo*d) / (hi - lo)
+	if x <= 0 { // s* is a rounding error above lo: no time at hi
+		return sched.ConstantProfile(w, lo), nil
+	}
+	return sched.Profile{{Speed: hi, Duration: x}, {Speed: lo, Duration: d - x}}, nil
 }
 
 // SolveVddTwoMode is the constructive upper bound used to cross-check the
@@ -315,27 +258,8 @@ func (p *Problem) SolveVddTwoMode(m model.Model, opts ContinuousOptions) (*Solut
 	}
 	profiles := make([]sched.Profile, p.G.N())
 	for i, sStar := range speeds {
-		w := p.G.Weight(i)
-		d := w / sStar
-		// Clamp below the slowest mode: running faster than necessary at the
-		// bottom mode only shortens the task (still feasible).
-		if sStar < m.SMin {
-			profiles[i] = sched.ConstantProfile(w, m.SMin)
-			continue
-		}
-		lo, hi, err := m.Bracket(sStar)
-		if err != nil {
+		if profiles[i], err = twoModeProfile(m, p.G.Weight(i), sStar); err != nil {
 			return nil, err
-		}
-		if hi-lo < 1e-12*hi { // s* is (numerically) a mode
-			profiles[i] = sched.ConstantProfile(w, hi)
-			continue
-		}
-		// Time x at hi, d-x at lo with lo(d-x) + hi·x = w.
-		x := (w - lo*d) / (hi - lo)
-		profiles[i] = sched.Profile{
-			{Speed: hi, Duration: x},
-			{Speed: lo, Duration: d - x},
 		}
 	}
 	s, err := sched.FromProfiles(p.G, profiles)
@@ -348,21 +272,4 @@ func (p *Problem) SolveVddTwoMode(m model.Model, opts ContinuousOptions) (*Solut
 		Energy:   s.Energy,
 		Stats:    Stats{Algorithm: "vdd-two-mode", Exact: false, BoundFactor: 1},
 	}, nil
-}
-
-// VddDistinctSpeedStats reports, for a Vdd solution, how many tasks use 1,
-// 2, or more distinct speeds — the structural property (at most two
-// adjacent modes per task at optimality) that motivates the model.
-func VddDistinctSpeedStats(s *Solution, tol float64) map[int]int {
-	out := make(map[int]int)
-	for _, prof := range s.Schedule.Profiles {
-		out[prof.DistinctSpeeds(tol)]++
-	}
-	// Deterministic iteration for printing: callers can sort keys.
-	keys := make([]int, 0, len(out))
-	for k := range out {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return out
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/lp"
 	"repro/internal/model"
 )
 
@@ -162,20 +164,6 @@ func TestVddWrongKind(t *testing.T) {
 	}
 }
 
-func TestVddDistinctSpeedStats(t *testing.T) {
-	g := graph.New()
-	g.AddTask("only", 2)
-	p, _ := NewProblem(g, 2)
-	sol, err := p.SolveVddHopping(vddModel(t, 0.5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := VddDistinctSpeedStats(sol, 1e-9)
-	if stats[2] != 1 {
-		t.Fatalf("stats = %v, want one 2-speed task", stats)
-	}
-}
-
 // Property: Vdd-Hopping can always emulate the continuous optimum arbitrarily
 // well when modes are dense around the needed speeds, so with a fine mode
 // grid E_vdd/E_cont stays within a few percent.
@@ -203,5 +191,192 @@ func TestVddApproachesContinuousWithDenseModes(t *testing.T) {
 	}
 	if math.IsNaN(ratio) {
 		t.Fatal("NaN ratio")
+	}
+}
+
+// vddLadders are the mode ladders the chain closed form is checked on: two
+// modes, three, and the twelve-mode DVFS ladder of the reclaim scenarios.
+var vddLadders = [][]float64{
+	{0.5, 2},
+	{0.5, 1, 2},
+	{0.5, 0.636, 0.772, 0.909, 1.045, 1.181, 1.318, 1.454, 1.59, 1.727, 1.863, 2},
+}
+
+// TestVddChainClosedFormMatchesLP checks the chain closed form against the
+// linear program, its oracle, across chain lengths × ladders × the place of
+// s* = W/(D − r) on the ladder (below the slowest mode, on a mode, between
+// two modes, at the top mode) × no release or a release on the head.
+func TestVddChainClosedFormMatchesLP(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, modes := range vddLadders {
+		vm := vddModel(t, modes...)
+		targets := map[string]float64{
+			"below":   0.8 * modes[0],
+			"on-mode": modes[len(modes)/2],
+			"between": (modes[0] + modes[1]) / 2,
+			"top":     modes[len(modes)-1],
+		}
+		for n := 1; n <= 64; n++ {
+			g := graph.Chain(rng, n, graph.UniformWeights(0.5, 3))
+			order, _ := g.IsChain()
+			w := g.TotalWeight()
+			for where, s := range targets {
+				for _, head := range []float64{0, 0.3 * w} {
+					p, err := NewProblem(g, head+w/s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rel []float64
+					if head > 0 {
+						rel = make([]float64, n)
+						rel[order[0]] = head
+					}
+					name := fmt.Sprintf("%d modes/n=%d/%s/head=%v", len(modes), n, where, head)
+					cf, err := p.SolveVddChain(vm, VddOptions{Release: rel})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					ref, err := p.SolveVddHoppingOpts(vm, VddOptions{Release: rel})
+					if err != nil {
+						t.Fatalf("%s: LP: %v", name, err)
+					}
+					if relDiff(cf.Energy, ref.Energy) > 1e-9 {
+						t.Fatalf("%s: closed form %.15g, LP %.15g", name, cf.Energy, ref.Energy)
+					}
+					if err := p.Verify(cf, 1e-9); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if start := cf.Schedule.Start[order[0]]; start < head {
+						t.Fatalf("%s: head starts at %v before its release %v", name, start, head)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fullVddProgram is the Theorem 3 program with every row: a start row and
+// a deadline row for each task. It is the oracle of vddProgram, which
+// leaves out the rows the others imply.
+func fullVddProgram(p *Problem, m model.Model, release []float64) *lp.Problem {
+	n, nm := p.G.N(), m.NumModes()
+	nvar := n*nm + n
+	tIdx := func(i int) int { return n*nm + i }
+	c := make([]float64, nvar)
+	for i := 0; i < n; i++ {
+		for j, s := range m.Modes {
+			c[i*nm+j] = model.Power(s)
+		}
+	}
+	prob := lp.NewProblem(c)
+	for i := 0; i < n; i++ {
+		row := make([]float64, nvar)
+		copy(row[i*nm:], m.Modes)
+		prob.AddConstraint(row, lp.EQ, p.G.Weight(i))
+	}
+	for _, e := range p.G.Edges() {
+		row := make([]float64, nvar)
+		row[tIdx(e[0])] = 1
+		for j := 0; j < nm; j++ {
+			row[e[1]*nm+j] = 1
+		}
+		row[tIdx(e[1])] = -1
+		prob.AddConstraint(row, lp.LE, 0)
+	}
+	for i := 0; i < n; i++ {
+		row := make([]float64, nvar)
+		for j := 0; j < nm; j++ {
+			row[i*nm+j] = 1
+		}
+		row[tIdx(i)] = -1
+		rhs := 0.0
+		if release != nil {
+			rhs = -release[i]
+		}
+		prob.AddConstraint(row, lp.LE, rhs)
+	}
+	for i := 0; i < n; i++ {
+		row := make([]float64, nvar)
+		row[tIdx(i)] = 1
+		prob.AddConstraint(row, lp.LE, p.Deadline)
+	}
+	return prob
+}
+
+// classFixtures are the route-coverage instances, one per structure class:
+// a chain, a fork, a join, a tree, a series-parallel diamond and a general
+// DAG.
+func classFixtures() []*graph.Graph {
+	build := func(weights []float64, edges [][2]int) *graph.Graph {
+		g := graph.New()
+		for _, w := range weights {
+			g.AddTask("", w)
+		}
+		for _, e := range edges {
+			g.MustAddEdge(e[0], e[1])
+		}
+		return g
+	}
+	return []*graph.Graph{
+		build([]float64{1.2, 0.6, 2.1, 1.4, 0.9}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+		build([]float64{1.1, 0.8, 2.2, 1.5, 0.6}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}),
+		build([]float64{0.7, 1.9, 1.3, 1.6}, [][2]int{{0, 3}, {1, 3}, {2, 3}}),
+		build([]float64{1.5, 2, 0.7, 1.2, 2.5, 0.9}, [][2]int{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}}),
+		build([]float64{1, 2, 1.5, 1}, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}),
+		build([]float64{1.3, 0.8, 1.7, 1.1}, [][2]int{{0, 2}, {0, 3}, {1, 3}}),
+	}
+}
+
+// TestVddTrimmedProgramMatchesFull: leaving out the implied start and
+// deadline rows changes neither the feasible set nor the optimum, with or
+// without release times. The interior releases bind: each non-source task
+// is released halfway to the latest start its tail allows at the top mode.
+func TestVddTrimmedProgramMatchesFull(t *testing.T) {
+	for _, modes := range [][]float64{{0.5, 1, 1.5, 2}, vddLadders[2]} {
+		vm := vddModel(t, modes...)
+		smax := modes[len(modes)-1]
+		for _, g := range classFixtures() {
+			dmin, _ := g.MinimalDeadline(smax)
+			p, err := NewProblem(g, 1.6*dmin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, err := g.TopoOrder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.N()
+			tail := make([]float64, n) // heaviest path weight from each task on
+			for k := n - 1; k >= 0; k-- {
+				v := order[k]
+				for _, s := range g.Succ(v) {
+					tail[v] = math.Max(tail[v], tail[s])
+				}
+				tail[v] += g.Weight(v)
+			}
+			uniform, sources, interior := make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := 0; i < n; i++ {
+				uniform[i] = 0.05 * p.Deadline
+				if len(g.Pred(i)) == 0 {
+					sources[i] = 0.05 * p.Deadline
+				} else {
+					interior[i] = 0.5 * (p.Deadline - tail[i]/smax)
+				}
+			}
+			for relName, rel := range map[string][]float64{"none": nil, "uniform": uniform, "sources": sources, "interior": interior} {
+				name := fmt.Sprintf("%d modes/%s/release=%s", len(modes), Classify(g).Class, relName)
+				full, err := lp.Solve(fullVddProgram(p, vm, rel), lp.Options{})
+				if err != nil || full.Status != lp.Optimal {
+					t.Fatalf("%s: full program: %+v %v", name, full, err)
+				}
+				trimmed, err := lp.Solve(p.vddProgram(vm, rel), lp.Options{})
+				if err != nil || trimmed.Status != lp.Optimal {
+					t.Fatalf("%s: trimmed program: %+v %v", name, trimmed, err)
+				}
+				if relDiff(trimmed.Objective, full.Objective) > 1e-12 {
+					t.Fatalf("%s: trimmed optimum %.17g, full %.17g", name, trimmed.Objective, full.Objective)
+				}
+			}
+		}
 	}
 }

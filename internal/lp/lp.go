@@ -6,8 +6,10 @@
 //
 // It exists to make Theorem 3 of the paper executable: with the Vdd-Hopping
 // energy model, MinEnergy(G, D) reduces to a linear program over the time
-// each task spends in each mode. The solver uses Bland's rule to guarantee
-// termination and reports optimal / infeasible / unbounded status.
+// each task spends in each mode. The solver prices by Dantzig's rule (the
+// most negative reduced cost enters) and falls back to Bland's rule inside
+// long degenerate runs, which guarantees termination; it reports optimal /
+// infeasible / unbounded status.
 package lp
 
 import (
@@ -323,20 +325,32 @@ func (t *tableau) objectiveValue() float64 {
 	return t.objOffset
 }
 
+// blandAfter is the number of consecutive degenerate pivots after which
+// run stops pricing by Dantzig's rule and enters the first eligible column.
+const blandAfter = 50
+
 // run performs simplex pivots until optimality, unboundedness, or the pivot
-// budget is exhausted. Bland's rule (smallest eligible index) guarantees
-// finite termination.
+// budget is exhausted. The entering column is the one of most negative
+// reduced cost (Dantzig's rule), except after blandAfter consecutive
+// degenerate (zero-ratio) pivots, when it is the first eligible column
+// (Bland's rule) until the next non-degenerate pivot. That still terminates:
+// a non-degenerate pivot strictly lowers the objective, so a cycle lies
+// inside one degenerate run, and Bland's rule ends every such run.
 func (t *tableau) run(maxPivots int) (Status, int) {
-	pivots := 0
+	pivots, degenerate := 0, 0
+	eligible := t.cols
+	if !t.phase1 {
+		eligible = t.n + t.numSlack // never re-enter artificial columns in phase 2
+	}
 	for {
 		enter := -1
-		for j := 0; j < t.cols; j++ {
-			if t.phase1 == false && j >= t.n+t.numSlack {
-				continue // never re-enter artificial columns in phase 2
-			}
-			if t.cost[j] < -t.tol {
-				enter = j
-				break // Bland: first eligible
+		best := -t.tol
+		for j := 0; j < eligible; j++ {
+			if t.cost[j] < best {
+				enter, best = j, t.cost[j]
+				if degenerate >= blandAfter {
+					break // Bland: first eligible
+				}
 			}
 		}
 		if enter < 0 {
@@ -358,6 +372,11 @@ func (t *tableau) run(maxPivots int) (Status, int) {
 		}
 		if leave < 0 {
 			return Unbounded, pivots
+		}
+		if bestRatio <= t.tol {
+			degenerate++
+		} else {
+			degenerate = 0
 		}
 		t.pivot(leave, enter)
 		pivots++

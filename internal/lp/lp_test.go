@@ -91,7 +91,7 @@ func TestNegativeRHS(t *testing.T) {
 }
 
 func TestDegenerateNoCycle(t *testing.T) {
-	// A classically degenerate LP (Beale-like); Bland's rule must terminate.
+	// A classically degenerate LP (Beale-like); the solve must terminate.
 	p := NewProblem([]float64{-0.75, 150, -0.02, 6})
 	p.AddConstraint([]float64{0.25, -60, -0.04, 9}, LE, 0)
 	p.AddConstraint([]float64{0.5, -90, -0.02, 3}, LE, 0)
@@ -99,6 +99,29 @@ func TestDegenerateNoCycle(t *testing.T) {
 	res := solveOK(t, p)
 	if math.Abs(res.Objective+0.05) > 1e-8 {
 		t.Fatalf("objective = %v, want -0.05", res.Objective)
+	}
+}
+
+// TestBealeTerminates guards the anti-cycling fallback: Beale's LP cycles
+// forever under Dantzig's rule alone (a pivot budget of thousands ends in
+// IterationLimit), while the switch to Bland's rule inside degenerate runs
+// ends it at the optimum.
+func TestBealeTerminates(t *testing.T) {
+	p := NewProblem([]float64{-0.75, 20, -0.5, 6})
+	p.AddConstraint([]float64{0.25, -8, -1, 9}, LE, 0)
+	p.AddConstraint([]float64{0.5, -12, -0.5, 3}, LE, 0)
+	p.AddConstraint([]float64{0, 0, 1, 0}, LE, 1)
+	res := solveOK(t, p)
+	if res.Pivots > 100 {
+		t.Fatalf("%d pivots, want at most 100", res.Pivots)
+	}
+	if math.Abs(res.Objective+1.25) > 1e-9 {
+		t.Fatalf("objective = %v, want -1.25", res.Objective)
+	}
+	for j, want := range []float64{1, 0, 1, 0} {
+		if math.Abs(res.X[j]-want) > 1e-9 {
+			t.Fatalf("x = %v, want [1 0 1 0]", res.X)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // reroute. The coverage test must reach each one.
 var solverIDs = []string{
 	"chain-closed-form", "fork-closed-form", "tree-equivalent-weight",
-	"sp-equivalent-weight", "continuous-interior-point", "vdd-lp",
-	"discrete-sp-dp", "discrete-bb", "discrete-greedy", "discrete-roundup",
+	"sp-equivalent-weight", "continuous-interior-point", "vdd-chain-closed-form",
+	"vdd-lp", "discrete-sp-dp", "discrete-bb", "discrete-greedy", "discrete-roundup",
 	"discrete-approx", "incremental-approx", "degraded-uniform",
 }
 
@@ -94,6 +94,7 @@ func (cov coverage) check(t *testing.T, name string, pl *Plan, sol *core.Solutio
 		"tree-equivalent-weight": "continuous-interior-point",
 		"sp-equivalent-weight":   "continuous-interior-point",
 		"discrete-sp-dp":         "discrete-bb",
+		"vdd-chain-closed-form":  "vdd-lp",
 	}[cp.Solver]
 	algo := sol.Stats.Algorithm
 	ipExit := algo == "continuous-tight-deadline" || algo == "continuous-degenerate-band"
@@ -161,6 +162,12 @@ func (cov coverage) check(t *testing.T, name string, pl *Plan, sol *core.Solutio
 		}
 	case algo == "discrete-sp-dp" || algo == "discrete-bb":
 		within(exact(), 1e-9)
+	case algo == "vdd-chain-closed-form":
+		ref, err := p.SolveVddHoppingOpts(m, core.VddOptions{Release: rel})
+		if err != nil {
+			t.Fatalf("%s: linear program oracle: %v", name, err)
+		}
+		within(ref.Energy, 1e-9)
 	case algo == "vdd-lp":
 		cont := numeric(copts)
 		if disc := exact(); sol.Energy < cont.Energy*(1-1e-6) || sol.Energy > disc*(1+1e-9) {
@@ -182,10 +189,11 @@ func (cov coverage) check(t *testing.T, name string, pl *Plan, sol *core.Solutio
 }
 
 // TestRouteCoverage walks every row of core.SelectRoute through the planner
-// and requires each solver ID, and both documented fallbacks, to be reached
+// and requires each solver ID, and every documented fallback, to be reached
 // and every answer to check out. Exhaustive: each model kind × selector ×
 // class × residual either names a solver the planner runs or is rejected
-// with ErrBadPlan. Then the warm (Replan), degraded, and fallback legs.
+// with ErrBadPlan. Then the warm (Replan), degraded, fallback, and Vdd
+// head-release legs.
 func TestRouteCoverage(t *testing.T) {
 	cov := coverage{}
 	models := routeModels(t)
@@ -208,7 +216,11 @@ func TestRouteCoverage(t *testing.T) {
 					}
 					opts := core.PlannedOptions{Continuous: core.ContinuousOptions{Release: rel}, Discrete: core.DiscreteOptions{Release: rel}}
 					r, rerr := core.SelectRoute(m, sel, core.Class(class), g.N(), opts)
-					if rerr == nil && (sel == AlgoAuto && (m.Kind == model.VddHopping || m.Kind == model.Incremental) || residual) {
+					classless := sel == AlgoAuto && (m.Kind == model.VddHopping || m.Kind == model.Incremental) || residual
+					if m.Kind == model.VddHopping && core.Class(class) == ClassChain {
+						classless = false // SolveAuto tells Vdd chains apart, residual or not
+					}
+					if rerr == nil && classless {
 						// SolveAuto skips classification on these rows.
 						if dag, _ := core.SelectRoute(m, sel, ClassGeneralDAG, g.N(), opts); dag.Solver != r.Solver {
 							t.Fatalf("%s: row depends on the class (%s vs %s on a general DAG)", name, r.Solver, dag.Solver)
@@ -262,7 +274,8 @@ func TestRouteCoverage(t *testing.T) {
 	}
 
 	// Degraded: every degradable auto row turns into the bounded uniform
-	// heuristic; the chain's continuous closed form stays put.
+	// heuristic; the chains' Continuous and Vdd-Hopping closed forms stay
+	// put.
 	for _, m := range models {
 		for _, g := range []*graph.Graph{graphs[ClassGeneralDAG], graphs[ClassChain]} {
 			p := mustProblem(t, g, feasibleDeadline(t, g, 2, 1.6))
@@ -303,10 +316,31 @@ func TestRouteCoverage(t *testing.T) {
 		cov.check(t, fmt.Sprintf("%s/%s/fallback", fc.m.Kind, fc.class), pl, sol, nil)
 	}
 
+	// A Vdd chain released at its head alone keeps the closed form; the
+	// residual rows above release every task, so they fall back to the
+	// linear program.
+	vdd, chain := models[1], graphs[ClassChain]
+	p := mustProblem(t, chain, feasibleDeadline(t, chain, 2, 1.6))
+	rel := make([]float64, chain.N())
+	rel[0] = 0.05 * p.Deadline // task 0 is the head
+	pl, err := AnalyzeResidual(p, vdd, Options{}, Residual{Release: rel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := pl.Execute()
+	if err != nil {
+		t.Fatalf("Vdd chain head release: %v", err)
+	}
+	cov.check(t, "Vdd-Hopping/chain/head-release", pl, sol, rel)
+	if sol.Stats.Algorithm != "vdd-chain-closed-form" {
+		t.Fatalf("Vdd chain released at its head answered by %s", sol.Stats.Algorithm)
+	}
+
 	for _, id := range append(solverIDs,
 		"tree-equivalent-weight→continuous-interior-point",
 		"sp-equivalent-weight→continuous-interior-point",
-		"discrete-sp-dp→discrete-bb") {
+		"discrete-sp-dp→discrete-bb",
+		"vdd-chain-closed-form→vdd-lp") {
 		if !cov[id] {
 			t.Errorf("never reached %s", id)
 		}

@@ -114,13 +114,15 @@ perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short fuzz pass over every fuzz target (decoders, canonical encoding, SP
-# recognizer, the interior point's numerics, solve and plan requests).
+# recognizer, the interior point's numerics, the Discrete SP DP against its
+# oracle, solve and plan requests).
 # FUZZTIME tunes the per-target budget.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzGraphJSON -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzGraphCanonical -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeSP -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzSolveNumeric -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzDiscreteSP -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzSolveRequest -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzPlanRequest -fuzztime=$(FUZZTIME) ./internal/service/

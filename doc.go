@@ -26,8 +26,10 @@
 //     W/D.
 //   - Discrete: a fixed mode set, one mode per task. NP-complete
 //     (Theorem 4); exact branch-and-bound and an exact Pareto-frontier
-//     dynamic program for series-parallel shapes, plus greedy and round-up
-//     heuristics.
+//     dynamic program for series-parallel shapes (parallel nodes merge
+//     their children's staircases in one walk, series nodes emit theirs
+//     from a heap, and both prune against the deadline and the greedy's
+//     energy), plus greedy and round-up heuristics.
 //   - Incremental: evenly spaced modes smin + i·δ. NP-complete, but
 //     approximable within (1+δ/smin)²(1+1/K)² in polynomial time
 //     (Theorem 5), implemented as SolveIncrementalApprox.
@@ -196,8 +198,9 @@
 // deviation dirtied run a solver, warm-started from the previous solution
 // (interior-point centering from the previous speeds, branch-and-bound
 // from the previous incumbent, Pareto-DP pruning against the previous
-// energy; the Vdd-Hopping solvers start cold), while untouched components
-// replay verbatim. On-plan completions cost nothing at all. Warm starts never change an answer — the property suite
+// energy when it beats the greedy's; the Vdd-Hopping solvers start cold),
+// while untouched components replay verbatim. On-plan completions cost
+// nothing at all. Warm starts never change an answer — the property suite
 // pins warm ≡ cold to 1e-9 across all four models — they only shrink the
 // work.
 //

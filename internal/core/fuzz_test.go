@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/convex"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // fuzzInstance decodes a FuzzSolveNumeric input: 2–14 tasks whose
@@ -83,6 +85,37 @@ func FuzzSolveNumeric(f *testing.F) {
 		}
 		if lb := sol.Stats.LowerBound; !(lb >= 0) || lb > sol.Energy*(1+1e-9) {
 			t.Fatalf("lower bound %.17g against energy %.17g", lb, sol.Energy)
+		}
+	})
+}
+
+// FuzzDiscreteSP checks the Pareto DP's frontier recursion against the
+// full-product oracle (compareDiscreteSP: matched errors, Verify at 1e-9,
+// energies within 1e-12, no higher frontier peak) on graph.RandomSP
+// shapes of 1–16 tasks, uniform, constant or near-constant weights, one
+// of the discreteLadders, a deadline whose excess over the minimum is
+// log-uniform in [1e-9, 3], cold or warm from the oracle's optimum.
+func FuzzDiscreteSP(f *testing.F) {
+	f.Add(int64(1), uint8(11), uint8(0), uint8(0), uint16(40000), false)
+	f.Add(int64(2), uint8(15), uint8(1), uint8(3), uint16(0), true)
+	f.Add(int64(3), uint8(8), uint8(2), uint8(2), uint16(65535), false)
+	f.Fuzz(func(t *testing.T, seed int64, n, wsel, lsel uint8, slack uint16, warm bool) {
+		rng := rand.New(rand.NewSource(seed))
+		wf := []graph.WeightFunc{graph.UniformWeights(0.5, 3), graph.ConstantWeights(1), graph.UniformWeights(1, 1+1e-6)}[wsel%3]
+		g, _ := graph.RandomSP(rng, 1+int(n%16), wf)
+		dm, err := model.NewDiscrete(discreteLadders[int(lsel)%len(discreteLadders)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dmin, _ := g.MinimalDeadline(dm.SMax)
+		p, err := NewProblem(g, dmin*(1+1e-9*math.Pow(3e9, float64(slack)/math.MaxUint16)))
+		if err != nil {
+			t.Fatalf("problem: %v", err)
+		}
+		_, want := compareDiscreteSP(t, "cold", p, dm, DiscreteOptions{})
+		if warm && want != nil {
+			ws, _ := want.Speeds()
+			compareDiscreteSP(t, "warm", p, dm, DiscreteOptions{Warm: &WarmStart{Speeds: ws}})
 		}
 	})
 }

@@ -23,8 +23,9 @@ import (
 // solvers stay exact, approximations keep their bound — they only shrink the
 // work: the interior point starts centering from the previous speed vector,
 // branch-and-bound opens with the previous assignment as incumbent, and the
-// Pareto DP prunes against the previous energy. The Vdd-Hopping solvers
-// start cold. Stale or infeasible warm data is detected and ignored.
+// Pareto DP prunes against the previous energy when it is below the greedy
+// heuristic's. The Vdd-Hopping solvers start cold. Stale or infeasible warm
+// data is detected and ignored.
 type WarmStart struct {
 	// Speeds is the previous constant speed per task (Continuous, Discrete,
 	// Incremental solutions).

@@ -139,13 +139,3 @@ func (g *Graph) Slack(durations []float64, deadline float64) ([]float64, error) 
 	}
 	return slack, nil
 }
-
-// AllPathsWithin reports whether the duration-weighted makespan is at most
-// deadline + tol.
-func (g *Graph) AllPathsWithin(durations []float64, deadline, tol float64) (bool, error) {
-	ms, err := g.Makespan(durations)
-	if err != nil {
-		return false, err
-	}
-	return ms <= deadline+tol, nil
-}

@@ -235,11 +235,13 @@
 // large tier pins the sparse interior-point kernel on 128–4096-task
 // instances, and the huge tier generates 32k–1M-task instances straight
 // to disk and solves them through the memory-mapped EGRF path
-// (internal/graph.Mapped + internal/core.SolveMappedContinuous),
-// recording peak RSS per scenario so the out-of-core claim stays
-// measured, not asserted. `energybench -list` prints the registry;
-// `make bench-compare` runs the default gate, `make bench-large` the
-// large-N gate, and `make bench-huge` the out-of-core tier locally.
+// (internal/graph.Mapped + internal/core.SolveMappedContinuous, which
+// keeps only classification state and at most GOMAXPROCS component
+// graphs beside the mapping), recording peak RSS per scenario so the
+// out-of-core claim stays measured, not asserted. `energybench -list`
+// prints the registry; `make bench-compare` runs the default gate,
+// `make bench-large` the large-N gate, and `make bench-huge` the
+// out-of-core tier locally.
 //
 // Everything is pure Go, standard library only. The experiment harness in
 // cmd/experiments regenerates the comparative study (T1–T5, F1–F5, A1–A4)

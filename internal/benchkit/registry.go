@@ -223,13 +223,15 @@ func RegistryHuge() []Scenario {
 		// state per task, no Graph ever built.
 		huge(Scenario{Name: "chain-262144-continuous-mmap", Family: "chain", N: 262144, Seed: 60, Model: contModel, Path: PathDirect, Mmap: true}),
 		huge(Scenario{Name: "chain-1048576-continuous-mmap", Family: "chain", N: 1048576, Seed: 61, Model: contModel, Path: PathDirect, Mmap: true}),
-		// 2048 disconnected layered components (~41k tasks): every
-		// component fails the chain test, so this measures the
-		// classify-then-materialize path — per-component lifting into the
-		// numeric solver with the mapping as the only whole-instance copy.
+		// A multi-family union (~41k tasks, 98% of them in non-chain
+		// components), so this measures the classify-then-materialize
+		// path: the component executor's workers each lift one component
+		// into the numeric solver when they take it, so the mapping is
+		// the only whole-instance copy and at most GOMAXPROCS component
+		// graphs are live.
 		huge(Scenario{Name: "multi-2048-continuous-mmap", Family: "multi", N: 2048, Seed: 62, Model: contModel, Path: PathDirect, Mmap: true}),
 		// The in-memory ceiling: one connected 8192-task layered DAG
-		// through the parallel sparse interior-point kernel.
+		// through the sparse interior-point kernel.
 		huge(Scenario{Name: "layered-8192-continuous-direct", Family: "layered", N: 8192, Seed: 63, Model: contModel, Path: PathDirect}),
 	}
 }

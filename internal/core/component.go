@@ -181,26 +181,39 @@ func (p *Problem) SolvePlanned(m model.Model, opts PlannedOptions) (*Solution, e
 	if len(comps) == 1 {
 		return p.SolveAuto(m, opts)
 	}
-	ids := make([]int, len(comps))
-	for i := range ids {
-		ids[i] = i
-	}
 	sols := make([]*Solution, len(comps))
-	pp := pipeline.New(context.TODO())
-	pipeline.Attach(pp, pipeline.Stage[int, struct{}]{ // emits nothing: Wait is the join
-		Name:    "solve",
-		Workers: min(opts.workers(), len(comps)),
-		Do: func(_ context.Context, i int, _ func(struct{}) error) (err error) {
-			sols[i], err = comps[i].Prob.SolveAuto(m, opts)
-			return err
-		},
-	}, pipeline.Items(ids))
-	if err := pp.Wait(); err != nil {
-		var se *pipeline.Error
-		if errors.As(err, &se) {
-			err = se.Err // report the solver's error as an inline solve would
-		}
+	err = solveEach(len(comps), opts.workers(), func(i int) (err error) {
+		sols[i], err = comps[i].Prob.SolveAuto(m, opts)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return p.MergeSolutions(comps, sols)
+}
+
+// solveEach runs solve(0) … solve(n−1) on one pipeline stage of at most
+// workers goroutines, each writing its own result slot, and returns the
+// first error as the solver reported it: a panic in solve becomes a
+// resilience.ErrPanic error instead of crashing the caller.
+func solveEach(n, workers int, solve func(i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	pp := pipeline.New(context.TODO())
+	pipeline.Attach(pp, pipeline.Stage[int, struct{}]{ // emits nothing: Wait is the join
+		Name:    "solve",
+		Workers: min(workers, n),
+		Do:      func(_ context.Context, i int, _ func(struct{}) error) error { return solve(i) },
+	}, pipeline.Items(ids))
+	err := pp.Wait()
+	var se *pipeline.Error
+	if errors.As(err, &se) {
+		err = se.Err // report the solver's error as an inline solve would
+	}
+	return err
 }

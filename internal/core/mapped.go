@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
+	"runtime"
 	"slices"
 
 	"repro/internal/graph"
@@ -11,13 +13,16 @@ import (
 // Out-of-core continuous solves over memory-mapped EGRF instances.
 //
 // The huge-instance tier streams the graph structure straight out of the
-// mapping: a union-find over int32 parents plus int32 in/out-degree
-// counters classifies every weakly-connected component, chain components
-// get the Theorem 1 closed form (uniform speed W_c/D) without ever
-// materializing tasks, and only the non-chain remainder is lifted into
-// an in-memory Graph for the usual dispatcher. Peak RSS for an n-task
-// instance that is mostly chains is ~12n bytes of classification state,
-// far below the materialized Graph's footprint.
+// mapping: a union-find over int32 parents plus int32 in-degree counters
+// and out-edge offsets classifies every weakly-connected component, and
+// chain components get the Theorem 1 closed form (uniform speed W_c/D)
+// without ever materializing tasks. The non-chain remainder is grouped by
+// component (one int32 per task, one counting sort) and fed to the
+// component executor (internal/pipeline), whose GOMAXPROCS workers each
+// lift one component into an in-memory Graph only when they take it. So
+// the mapping stays the only whole-instance copy: beside it live the
+// ~12 bytes per task of classification state, the grouping, and at most
+// GOMAXPROCS component graphs.
 
 // MappedResult summarizes an out-of-core continuous solve. It carries no
 // per-task schedule — for million-task instances that would defeat the
@@ -40,64 +45,18 @@ type MappedResult struct {
 	Newton int
 }
 
-// mappedComp accumulates per-component classification state, keyed by
-// union-find root. A mostly-chain million-task instance touches one
-// entry; a multi-family instance touches one per component.
+// mappedComp is one weakly-connected component of a mapped instance.
 type mappedComp struct {
 	size, edges int
 	weight      float64
 	chainOK     bool // every member has indeg ≤ 1 and outdeg ≤ 1
-}
-
-// mappedScan classifies the mapped instance's components in one pass
-// over edges plus one pass over tasks, using ~12 bytes per task.
-func mappedScan(mg *graph.Mapped) (map[int32]*mappedComp, []int32, error) {
-	n, m := mg.N(), mg.M()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	indeg := make([]int32, n)
-	outdeg := make([]int32, n)
-	for k := 0; k < m; k++ {
-		u, v := mg.Edge(k)
-		if u < 0 || u >= n || v < 0 || v >= n || u == v {
-			return nil, nil, fmt.Errorf("core: mapped instance has invalid edge (%d,%d)", u, v)
-		}
-		outdeg[u]++
-		indeg[v]++
-		ru, rv := find(int32(u)), find(int32(v))
-		if ru != rv {
-			parent[ru] = rv
-		}
-	}
-	comps := make(map[int32]*mappedComp)
-	for i := 0; i < n; i++ {
-		r := find(int32(i))
-		c := comps[r]
-		if c == nil {
-			c = &mappedComp{chainOK: true}
-			comps[r] = c
-		}
-		c.size++
-		c.weight += mg.Weight(i)
-		if indeg[i] > 1 || outdeg[i] > 1 {
-			c.chainOK = false
-		}
-	}
-	for k := 0; k < m; k++ {
-		u, _ := mg.Edge(k)
-		comps[find(int32(u))].edges++
-	}
-	return comps, parent, nil
+	// start is the offset of a non-chain component's tasks in
+	// mappedScan.members.
+	start int
+	// energy and newton are the component's solve, written by the worker
+	// that takes it.
+	energy float64
+	newton int
 }
 
 // isStreamableChain reports whether a component is a directed path (or a
@@ -107,52 +66,134 @@ func (c *mappedComp) isStreamableChain() bool {
 	return c.chainOK && c.edges == c.size-1
 }
 
-// mappedMaterialize lifts every non-chain component into an in-memory
-// Graph (keyed by union-find root), leaving streamable chains in the
-// mapping. parent must be the (path-compressed) forest from mappedScan.
-func mappedMaterialize(mg *graph.Mapped, comps map[int32]*mappedComp, parent []int32) (map[int32]*graph.Graph, error) {
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+// mappedScan is the classification of a mapped instance.
+type mappedScan struct {
+	mg *graph.Mapped
+	// comps lists the components in ascending union-find root order.
+	comps []*mappedComp
+	indeg []int32
+	// out[u] .. out[u+1] are the mapping indices of u's out-edges: the
+	// edges are sorted by source.
+	out []int32
+	// members holds every non-chain task, grouped by component in comps
+	// order and ascending by task ID within one; nil when all components
+	// are chains.
+	members []int32
+}
+
+// scanMapped classifies the mapped instance's components in one pass
+// over edges plus one over tasks, using ~12 bytes per task, then groups
+// the non-chain tasks by component with one counting sort. It rejects
+// an instance its int32 state cannot index, an edge out of range, a
+// self-loop, and edges that are not strictly ascending (unsorted or
+// duplicated), which the out-edge offsets rely on.
+func scanMapped(mg *graph.Mapped) (*mappedScan, error) {
+	n, m := mg.N(), mg.M()
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		return nil, fmt.Errorf("core: mapped instance too large for int32 task and edge indices (n=%d, m=%d)", n, m)
+	}
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
 		for parent[x] != x {
-			parent[x] = parent[parent[x]]
+			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
 		}
 		return x
 	}
-	n := mg.N()
-	local := make([]int32, n)
-	graphs := make(map[int32]*graph.Graph)
+	indeg := make([]int32, n)
+	out := make([]int32, n+1) // out-degrees at out[u+1], offsets after the prefix sum
+	lastU, lastV := -1, -1
+	for k := 0; k < m; k++ {
+		u, v := mg.Edge(k)
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			return nil, fmt.Errorf("core: mapped instance has invalid edge (%d,%d)", u, v)
+		}
+		if u < lastU || (u == lastU && v <= lastV) {
+			return nil, fmt.Errorf("%w: edge (%d,%d) after (%d,%d), edges must be strictly ascending",
+				graph.ErrMappedFormat, u, v, lastU, lastV)
+		}
+		lastU, lastV = u, v
+		out[u+1]++
+		indeg[v]++
+		ru, rv := find(int32(u)), find(int32(v))
+		if ru != rv {
+			parent[ru] = rv
+		}
+	}
+	byRoot := make(map[int32]*mappedComp)
 	for i := 0; i < n; i++ {
 		r := find(int32(i))
-		if comps[r].isStreamableChain() {
-			local[i] = -1
-			continue
+		parent[i] = r
+		c := byRoot[r]
+		if c == nil {
+			c = &mappedComp{chainOK: true}
+			byRoot[r] = c
 		}
-		g := graphs[r]
-		if g == nil {
-			g = graph.New()
-			graphs[r] = g
-		}
-		local[i] = int32(g.AddTask("", mg.Weight(i)))
-	}
-	for k := 0; k < mg.M(); k++ {
-		u, v := mg.Edge(k)
-		if local[u] < 0 {
-			continue
-		}
-		g := graphs[find(int32(u))]
-		if err := g.AddEdge(int(local[u]), int(local[v])); err != nil {
-			return nil, err
+		c.size++
+		c.edges += int(out[i+1])
+		c.weight += mg.Weight(i)
+		if indeg[i] > 1 || out[i+1] > 1 {
+			c.chainOK = false
 		}
 	}
-	return graphs, nil
+	for u := 0; u < n; u++ {
+		out[u+1] += out[u]
+	}
+	sc := &mappedScan{mg: mg, indeg: indeg, out: out}
+	grouped := 0
+	for _, r := range slices.Sorted(maps.Keys(byRoot)) {
+		c := byRoot[r]
+		sc.comps = append(sc.comps, c)
+		if !c.isStreamableChain() {
+			grouped += c.size
+			c.start = grouped // one past the end until the fill below
+		}
+	}
+	if grouped == 0 {
+		return sc, nil
+	}
+	sc.members = make([]int32, grouped)
+	for i := n - 1; i >= 0; i-- {
+		if c := byRoot[parent[i]]; !c.isStreamableChain() {
+			c.start--
+			sc.members[c.start] = int32(i)
+		}
+	}
+	return sc, nil
+}
+
+// graph lifts a non-chain component into an in-memory Graph: local IDs
+// in ascending task ID and edges in the mapping's order, so every
+// materialization of the component is the same graph.
+func (sc *mappedScan) graph(c *mappedComp) (*graph.Graph, error) {
+	tasks := sc.members[c.start : c.start+c.size]
+	g := graph.New()
+	for _, u := range tasks {
+		g.AddTask("", sc.mg.Weight(int(u)))
+	}
+	for lu, u := range tasks {
+		for k := sc.out[u]; k < sc.out[u+1]; k++ {
+			_, v := sc.mg.Edge(int(k))
+			lv, _ := slices.BinarySearch(tasks, int32(v))
+			if err := g.AddEdge(lu, lv); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return g, nil
 }
 
 // SolveMappedContinuous solves MinEnergy under the Continuous model on a
 // memory-mapped instance, the deadline applying per component as in
 // SolvePlanned. Chain components use the closed form s = W_c/D streamed
-// from the mapping; everything else is materialized and dispatched
-// through SolveContinuous.
+// from the mapping; the rest run on the component executor, each
+// materialized by the worker that takes it and solved by
+// SolveContinuous. Energies add in ascending root order — chains first,
+// then the solved components — so the sum is the same bits on every run
+// and any worker count.
 func SolveMappedContinuous(mg *graph.Mapped, deadline, smax float64, opts ContinuousOptions) (*MappedResult, error) {
 	if !(deadline > 0) {
 		return nil, fmt.Errorf("core: deadline must be positive, got %v", deadline)
@@ -160,92 +201,107 @@ func SolveMappedContinuous(mg *graph.Mapped, deadline, smax float64, opts Contin
 	if !(smax > 0) {
 		return nil, fmt.Errorf("core: smax must be positive, got %v", smax)
 	}
-	comps, parent, err := mappedScan(mg)
+	sc, err := scanMapped(mg)
 	if err != nil {
 		return nil, err
 	}
-	res := &MappedResult{Tasks: mg.N(), Edges: mg.M(), Components: len(comps)}
-	// Energies add in ascending root order, not map order, so the sum is
-	// the same bits on every run.
-	roots := slices.Sorted(maps.Keys(comps))
-	needMaterialize := false
-	for _, r := range roots {
-		if c := comps[r]; c.isStreamableChain() {
-			s := c.weight / deadline
-			if s > smax*(1+1e-12) {
-				return nil, fmt.Errorf("%w: chain component needs speed %.9g > smax %.9g", ErrInfeasible, s, smax)
-			}
-			res.Energy += c.weight * s * s
-			res.StreamedChains++
-		} else {
-			needMaterialize = true
-		}
-	}
-	if !needMaterialize {
-		return res, nil
-	}
-	graphs, err := mappedMaterialize(mg, comps, parent)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range roots {
-		g := graphs[r]
-		if g == nil {
+	res := &MappedResult{Tasks: mg.N(), Edges: mg.M(), Components: len(sc.comps)}
+	var solve []*mappedComp
+	for _, c := range sc.comps {
+		if !c.isStreamableChain() {
+			solve = append(solve, c)
 			continue
+		}
+		s := c.weight / deadline
+		if s > smax*(1+1e-12) {
+			return nil, fmt.Errorf("%w: chain component needs speed %.9g > smax %.9g", ErrInfeasible, s, smax)
+		}
+		res.Energy += c.weight * s * s
+		res.StreamedChains++
+	}
+	err = solveEach(len(solve), runtime.GOMAXPROCS(0), func(i int) error {
+		c := solve[i]
+		g, err := sc.graph(c)
+		if err != nil {
+			return err
 		}
 		p, err := NewProblem(g, deadline)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sol, err := p.SolveContinuous(smax, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Energy += sol.Energy
-		res.Newton += sol.Stats.Newton
-		res.MaterializedTasks += g.N()
+		c.energy, c.newton = sol.Energy, sol.Stats.Newton
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range solve {
+		res.Energy += c.energy
+		res.Newton += c.newton
+		res.MaterializedTasks += c.size
 	}
 	return res, nil
 }
 
 // MappedMinimalDeadline returns the smallest feasible deadline at smax
 // for a mapped instance: the max over components of critical-path weight
-// divided by smax, with chain components streamed (W_c/smax) and only
-// non-chain components materialized.
+// divided by smax. Chain components stream (W_c/smax); the others take
+// one Kahn pass over the mapping, with no Graph built.
 func MappedMinimalDeadline(mg *graph.Mapped, smax float64) (float64, error) {
 	if !(smax > 0) {
 		return 0, fmt.Errorf("core: smax must be positive, got %v", smax)
 	}
-	comps, parent, err := mappedScan(mg)
+	sc, err := scanMapped(mg)
 	if err != nil {
 		return 0, err
 	}
 	dmin := 0.0
-	needMaterialize := false
-	for _, c := range comps {
+	for _, c := range sc.comps {
 		if c.isStreamableChain() {
 			if d := c.weight / smax; d > dmin {
 				dmin = d
 			}
-		} else {
-			needMaterialize = true
 		}
 	}
-	if !needMaterialize {
+	if sc.members == nil {
 		return dmin, nil
 	}
-	graphs, err := mappedMaterialize(mg, comps, parent)
-	if err != nil {
-		return 0, err
+	// finish[u] holds u's earliest start at unit speed until u leaves the
+	// queue, as in graph.Analyze: the path sums are the same bits, and
+	// dividing the longest by smax commutes with the max.
+	finish := make([]float64, mg.N())
+	queue := make([]int32, 0, len(sc.members))
+	for _, u := range sc.members {
+		if sc.indeg[u] == 0 {
+			queue = append(queue, u)
+		}
 	}
-	for _, g := range graphs {
-		d, err := g.MinimalDeadline(smax)
-		if err != nil {
-			return 0, err
+	cpw := 0.0
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
+		f := finish[u] + mg.Weight(int(u))
+		if f > cpw {
+			cpw = f
 		}
-		if d > dmin {
-			dmin = d
+		for k := sc.out[u]; k < sc.out[u+1]; k++ {
+			_, v := mg.Edge(int(k))
+			if f > finish[v] {
+				finish[v] = f
+			}
+			if sc.indeg[v]--; sc.indeg[v] == 0 {
+				queue = append(queue, int32(v))
+			}
 		}
+	}
+	if len(queue) != len(sc.members) {
+		return 0, graph.ErrCycle
+	}
+	if d := cpw / smax; d > dmin {
+		dmin = d
 	}
 	return dmin, nil
 }

@@ -166,20 +166,41 @@ func (b *SymBuilder) CompileProgram(opts CompileOptions) *SymProgram {
 	for k := 0; k < n; k++ {
 		b.pairs = append(b.pairs, [2]int{k, k})
 	}
-	sort.Slice(b.pairs, func(x, y int) bool {
-		if b.pairs[x][0] != b.pairs[y][0] {
-			return b.pairs[x][0] < b.pairs[y][0]
-		}
-		return b.pairs[x][1] < b.pairs[y][1]
-	})
+	// Sorted by (i, j): by j, then stably by i.
+	tmp := make([][2]int, len(b.pairs))
+	countingSort(tmp, b.pairs, n, 1)
+	countingSort(b.pairs, tmp, n, 0)
 	pairs := b.pairs[:0]
 	for _, p := range b.pairs {
 		if len(pairs) == 0 || pairs[len(pairs)-1] != p {
 			pairs = append(pairs, p)
 		}
 	}
+	prog := buildProgram(n, pairs, orderPattern(n, pairs, opts.Ordering))
+	symbolicAnalyses.Add(1)
+	return prog
+}
 
-	// Fill-reducing ordering from the off-diagonal adjacency.
+// countingSort copies src into dst ordered by p[key] ∈ [0, n), stably:
+// two passes (by the second key, then by the first) order a pattern
+// lexicographically in O(len(src) + n).
+func countingSort(dst, src [][2]int, n, key int) {
+	next := make([]int, n+1)
+	for _, p := range src {
+		next[p[key]+1]++
+	}
+	for k := 0; k < n; k++ {
+		next[k+1] += next[k]
+	}
+	for _, p := range src {
+		dst[next[p[key]]] = p
+		next[p[key]]++
+	}
+}
+
+// orderPattern returns the fill-reducing ordering (perm[new] = old) of a
+// deduped pattern, from its off-diagonal adjacency.
+func orderPattern(n int, pairs [][2]int, ordering Ordering) []int {
 	deg := make([]int, n)
 	for _, p := range pairs {
 		if p[0] != p[1] {
@@ -202,24 +223,21 @@ func (b *SymBuilder) CompileProgram(opts CompileOptions) *SymProgram {
 			fill[p[1]]++
 		}
 	}
-	var perm []int
-	switch opts.Ordering {
+	switch ordering {
 	case OrderRCM:
-		perm = rcmOrder(n, adjPtr, adj, deg)
+		return rcmOrder(n, adjPtr, adj, deg)
 	case OrderND:
-		perm = ndOrder(n, adjPtr, adj, deg)
-	default: // OrderAuto: build both candidates, keep the cheaper factor.
-		perm = rcmOrder(n, adjPtr, adj, deg)
-		if n >= ndMinDim {
-			nd := ndOrder(n, adjPtr, adj, deg)
-			if symbolicFill(n, pairs, nd) <= symbolicFill(n, pairs, perm) {
-				perm = nd
-			}
+		return ndOrder(n, adjPtr, adj, deg)
+	}
+	// OrderAuto: build both candidates, keep the cheaper factor.
+	perm := rcmOrder(n, adjPtr, adj, deg)
+	if n >= ndMinDim {
+		nd := ndOrder(n, adjPtr, adj, deg)
+		if symbolicFill(n, pairs, nd) <= symbolicFill(n, pairs, perm) {
+			perm = nd
 		}
 	}
-	prog := buildProgram(n, pairs, perm)
-	symbolicAnalyses.Add(1)
-	return prog
+	return perm
 }
 
 // NewFactor mints a fresh numeric factor bound to the program: it aliases
@@ -357,31 +375,25 @@ func buildProgram(n int, pairs [][2]int, perm []int) *SymProgram {
 	}
 
 	// Permuted upper-triangular CSC: entry (i,j) lands in column
-	// max(pinv[i],pinv[j]) at row min(pinv[i],pinv[j]).
-	type ent struct{ r, c, orig int }
-	ents := make([]ent, len(pairs))
+	// max(pinv[i],pinv[j]) at row min(pinv[i],pinv[j]). The (row, column)
+	// pairs are distinct, so sorting them by column, then row, fixes the
+	// slots: by row, then stably by column.
+	ents := make([][2]int, len(pairs))
 	for idx, p := range pairs {
 		r, c := pinv[p[0]], pinv[p[1]]
-		if r > c {
-			r, c = c, r
-		}
-		ents[idx] = ent{r: r, c: c, orig: idx}
+		ents[idx] = [2]int{min(r, c), max(r, c)}
 	}
-	sort.Slice(ents, func(x, y int) bool {
-		if ents[x].c != ents[y].c {
-			return ents[x].c < ents[y].c
-		}
-		return ents[x].r < ents[y].r
-	})
+	byRow := make([][2]int, len(ents))
+	countingSort(byRow, ents, n, 0)
+	countingSort(ents, byRow, n, 1)
 	s.colPtr = make([]int, n+1)
 	s.rowIdx = make([]int, len(ents))
 	for slot, e := range ents {
-		s.colPtr[e.c+1]++
-		s.rowIdx[slot] = e.r
-		p := pairs[e.orig]
-		s.slots[pairKey(p[0], p[1])] = slot
-		if p[0] == p[1] {
-			s.diagSlot[p[0]] = slot
+		s.colPtr[e[1]+1]++
+		s.rowIdx[slot] = e[0]
+		s.slots[pairKey(perm[e[0]], perm[e[1]])] = slot
+		if e[0] == e[1] {
+			s.diagSlot[perm[e[0]]] = slot
 		}
 	}
 	for k := 0; k < n; k++ {

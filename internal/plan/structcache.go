@@ -16,8 +16,10 @@ import (
 // re-clothes it in the requesting graph's current weights via
 // CloneWithWeights). It also owns the core.KernelCache that amortizes the
 // continuous solver's symbolic compilation, so one cache object wired
-// through plan.Options covers both the O(n²·m) SP recognition and the
-// ordering+symbolic work.
+// through plan.Options covers both the classification and the
+// ordering+symbolic work. Classification is dominated by the transitive
+// reduction's reachability closure (O(n·m/64) word operations, n²/8
+// bytes); the SP recognizer after it is linear.
 //
 // Entries can be pinned (reference-counted) by long-lived owners —
 // reclaim sessions pin the structures their replans revisit — and pinned
@@ -49,11 +51,12 @@ func NewStructureCache(cap int) *StructureCache {
 func (sc *StructureCache) Kernels() *core.KernelCache { return sc.kernels }
 
 // classify returns g's core.Shape, consulting the cache first. On a hit
-// the O(n²·m) recognition is skipped entirely; the cached reduction (whose
-// weights are stale) is cloned with g's current weights because
-// downstream solvers read weights off that graph. On a miss the
-// classification runs and is inserted (a concurrent insert of the same key
-// wins and the duplicate is dropped).
+// core.Classify is skipped entirely, transitive reduction included, and
+// the lookup costs the fingerprint (a sort and a hash of the edge list);
+// the cached reduction (whose weights are stale) is cloned with g's
+// current weights because downstream solvers read weights off that
+// graph. On a miss the classification runs and is inserted (a
+// concurrent insert of the same key wins and the duplicate is dropped).
 func (sc *StructureCache) classify(g *graph.Graph) core.Shape {
 	key := g.StructuralFingerprint()
 	if sh, ok := sc.lru.Get(key); ok {

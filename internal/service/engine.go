@@ -622,10 +622,12 @@ func (e *Engine) solveBatch(reqs []*SolveRequest, ctxFor func(*SolveRequest) (co
 
 // Explain compiles a request and runs the planner's analysis without
 // solving: the explain-only path behind POST /v1/plan. Analysis does no
-// numeric work, but its series-parallel recognition is superlinear
-// (O(n²·m)), so it is admitted and scheduled like a solve — backlog
-// shedding plus a worker-pool slot bound the CPU an explain-only client can
-// claim, instead of handing every request its own unbounded goroutine. The
+// numeric work, but its classification is superlinear (the transitive
+// reduction ahead of the linear SP recognizer costs O(n·m/64) word
+// operations and n²/8 bytes), so it is admitted and scheduled like a
+// solve — backlog shedding plus a worker-pool slot bound the CPU an
+// explain-only client can claim, instead of handing every request its
+// own unbounded goroutine. The
 // context bounds the wait for a pool slot (and honors the caller's
 // timeout); once the slot is held, analysis runs to completion — it is
 // short, unlike a solve.

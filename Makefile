@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Wall-clock slowdown tolerated by bench-compare before a scenario fails.
 TOLERANCE ?= 2
 
-.PHONY: all build test race vet fmt bench verify bench-all bench-compare bench-baseline bench-large bench-huge loadtest chaos perfbench-test fuzz loc clean
+.PHONY: all build test race vet fmt bench verify bench-all bench-compare bench-baseline bench-large bench-huge ab loadtest chaos perfbench-test fuzz loc clean
 
 all: verify
 
@@ -75,6 +75,17 @@ bench-huge:
 bench-baseline:
 	$(GO) run ./cmd/energybench -tier all -run '.*' -out BENCH_baseline.json
 
+# ab runs perfbench's WORKLOAD on revision BASE and on this checkout in
+# PAIRS alternating pairs at SEED, offline, and prints per end-to-end
+# metric both medians and q1–q3, their ratio and the change's win count
+# (scripts/ab.sh; the result lines stay under .bench_build/ab).
+BASE ?= HEAD
+WORKLOAD ?= sessions
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
+
 # loadtest storms an in-process server with the production traffic mix
 # (zipf-popular solves, streamed solves, reclaiming-session lifecycles with
 # watchers, jittered events and abandons, batch floods; open-loop arrivals,
@@ -98,8 +109,7 @@ loadtest:
 # randomized storm over all four models with errors/latency/panics armed at
 # every site (solver, session store, pipeline, mmap), plus the unit suites
 # of the resilience package. Green means: no crash, every failure a
-# classified error, no leaked admission token, pool slot, session, or
-# structure pin.
+# classified error, no leaked admission token, pool slot, or session.
 chaos:
 	$(GO) test -race ./internal/resilience/
 	$(GO) test -race -run 'Chaos|Fault|Panic|Degraded|TenantQuota' ./internal/service/

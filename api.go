@@ -247,7 +247,8 @@ func Proposition1DiscreteBound(m Model, K int) float64 {
 type Plan = plan.Plan
 
 // PlanOptions parameterizes plan analysis and execution (forced algorithm,
-// Theorem 5 K, component-solve concurrency, solver tunables).
+// Theorem 5 K, component-solve concurrency, overload degradation, the
+// shared structure cache).
 type PlanOptions = plan.Options
 
 // PlanComponent is one component's routing decision inside a Plan.
@@ -257,7 +258,9 @@ type PlanComponent = plan.ComponentPlan
 // series-parallel, general DAG).
 type PlanClass = plan.Class
 
-// SolvePlannedOptions tunes Problem.SolvePlanned / Problem.SolveAuto.
+// SolvePlannedOptions tunes Problem.SolvePlanned / Problem.SolveAuto
+// (Theorem 5 K, solver tunables); SolvePlanned solves components on up to
+// GOMAXPROCS goroutines.
 type SolvePlannedOptions = core.PlannedOptions
 
 // ProblemComponent couples one weakly-connected component with its
@@ -360,7 +363,7 @@ func NewSolveHandler(e *Engine, opts SolveHTTPOptions) http.Handler {
 type ReclaimSession = reclaim.Session
 
 // ReclaimOptions tunes a session (forced algorithm, Theorem 5 K, the Cold
-// baseline switch, deviation tolerance, solver tunables).
+// baseline switch, the shared structure cache).
 type ReclaimOptions = reclaim.Options
 
 // ReclaimStats counts events, clean skips, replans, and component

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	energyserver [-addr :8080] [-workers N] [-plan-workers 1] [-cache 1024] [-timeout 30s] [-verify]
+//	energyserver [-addr :8080] [-workers N] [-cache 1024] [-timeout 30s] [-verify]
 package main
 
 import (
@@ -48,7 +48,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("energyserver", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "max solves in flight (0 = GOMAXPROCS)")
-	planWorkers := fs.Int("plan-workers", 0, "component solves in flight per request (0 = 1; raise for low request concurrency)")
 	cacheSize := fs.Int("cache", 1024, "instance cache capacity (negative disables)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request timeout")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on requested timeouts")
@@ -66,7 +65,6 @@ func run(args []string) error {
 
 	opts := service.Options{
 		Workers:          *workers,
-		PlanWorkers:      *planWorkers,
 		CacheSize:        *cacheSize,
 		MaxBacklog:       *maxBacklog,
 		DegradeWatermark: *degradeWatermark,

@@ -1,9 +1,6 @@
 package benchkit
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestHugeRegistryCoverage pins the out-of-core tier: unique names
 // against the other tiers, every scenario marked TierHuge with trimmed
@@ -100,50 +97,5 @@ func TestMmapRequiresContinuousDirect(t *testing.T) {
 	s = Scenario{Name: "bad2", Family: "chain", N: 4, Seed: 1, Model: contModel, Path: PathPlanner, Mmap: true}
 	if _, err := s.build(); err == nil {
 		t.Fatal("Mmap on the planner path accepted")
-	}
-}
-
-// TestReclaimWarmNotSlowerThanCold is the regression gate on the warm
-// start's whole reason to exist: for every warm/cold reclaim pair in the
-// registry, the warm replay's p50 must not exceed the cold one by more
-// than 10%. (The AutoT0 centering estimate is what keeps warm residual
-// re-solves from paying the classical t=1 ramp on every deviation; this
-// test is what failed before it existed.) Wall-clock sensitive, so it
-// skips under the race detector; the large-tier 128-task pair is
-// measured only outside -short.
-func TestReclaimWarmNotSlowerThanCold(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock assertion meaningless under the race detector")
-	}
-	pairs := []string{
-		"layered-36-continuous-reclaim",
-		"multi-4-continuous-reclaim",
-	}
-	if !testing.Short() {
-		pairs = append(pairs, "layered-128-continuous-reclaim")
-	}
-	for _, base := range pairs {
-		t.Run(base, func(t *testing.T) {
-			measure := func(suffix string) *Result {
-				matched, err := Select(fmt.Sprintf("^%s-%s$", base, suffix), TierAll, nil)
-				if err != nil || len(matched) != 1 {
-					t.Fatalf("Select %s-%s: %d scenarios, err %v", base, suffix, len(matched), err)
-				}
-				res, err := Run(matched[0], Options{Warmup: 1, Reps: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			warm := measure("warm")
-			cold := measure("cold")
-			// Min-of-reps is the noise-robust comparator: single-CPU CI
-			// medians over 3 reps flap by ±20% while the minima hold still.
-			if warm.MinMS > cold.MinMS*1.1 {
-				t.Errorf("warm reclaim min %.3f ms exceeds cold %.3f ms by more than 10%%",
-					warm.MinMS, cold.MinMS)
-			}
-			t.Logf("warm min %.3f ms, cold min %.3f ms (ratio %.2f)", warm.MinMS, cold.MinMS, warm.MinMS/cold.MinMS)
-		})
 	}
 }

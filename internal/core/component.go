@@ -115,21 +115,12 @@ func (p *Problem) MergeSolutionsAt(comps []Component, sols []*Solution, release 
 
 // PlannedOptions tunes SolveAuto and SolvePlanned.
 type PlannedOptions struct {
-	// Workers bounds concurrent component solves (default GOMAXPROCS).
-	Workers int
 	// K is the Theorem 5 accuracy parameter (default 4).
 	K int
 	// Continuous tunes the interior-point fallback.
 	Continuous ContinuousOptions
 	// Discrete tunes the exact discrete solvers.
 	Discrete DiscreteOptions
-}
-
-func (o PlannedOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o PlannedOptions) k() int {
@@ -170,7 +161,7 @@ func (p *Problem) SolveAuto(m model.Model, opts PlannedOptions) (*Solution, erro
 
 // SolvePlanned is the component-aware entry point: it splits the execution
 // graph into weakly-connected components, solves each independently with
-// SolveAuto on a pipeline of at most Workers solver goroutines (the
+// SolveAuto on a pipeline of at most GOMAXPROCS solver goroutines (the
 // deadline applies per component), and merges the solutions. A connected
 // graph degenerates to SolveAuto with no overhead or copying.
 func (p *Problem) SolvePlanned(m model.Model, opts PlannedOptions) (*Solution, error) {
@@ -182,7 +173,7 @@ func (p *Problem) SolvePlanned(m model.Model, opts PlannedOptions) (*Solution, e
 		return p.SolveAuto(m, opts)
 	}
 	sols := make([]*Solution, len(comps))
-	err = solveEach(len(comps), opts.workers(), func(i int) (err error) {
+	err = solveEach(len(comps), runtime.GOMAXPROCS(0), func(i int) (err error) {
 		sols[i], err = comps[i].Prob.SolveAuto(m, opts)
 		return err
 	})

@@ -136,6 +136,8 @@ func (p *Problem) SolveDiscreteBB(m model.Model, opts DiscreteOptions) (*Solutio
 	nodes := 0
 	limit := opts.maxNodes()
 	var limitHit bool
+	// An assignment must beat the incumbent by more than a relative eps;
+	// a relative margin keeps the search the same at every weight scale.
 	const eps = 1e-12
 
 	var dfs func(k int, prefixEnergy float64)
@@ -149,7 +151,7 @@ func (p *Problem) SolveDiscreteBB(m model.Model, opts DiscreteOptions) (*Solutio
 			return
 		}
 		if k == n {
-			if prefixEnergy < bestEnergy-eps {
+			if prefixEnergy < bestEnergy*(1-eps) {
 				bestEnergy = prefixEnergy
 				copy(bestSpeeds, speeds)
 			}
@@ -159,7 +161,7 @@ func (p *Problem) SolveDiscreteBB(m model.Model, opts DiscreteOptions) (*Solutio
 		w := p.G.Weight(t)
 		for j := 0; j < nm; j++ {
 			e := prefixEnergy + model.TaskEnergy(w, modes[j])
-			if e+suffixMin[k+1] >= bestEnergy-eps {
+			if e+suffixMin[k+1] >= bestEnergy*(1-eps) {
 				break // faster modes only cost more
 			}
 			durations[t] = w / modes[j]
@@ -565,10 +567,10 @@ func (p *Problem) SolveDiscreteSP(m model.Model, e *graph.SPExpr, opts DiscreteO
 // solve builds every node's staircase, children first, against deadline D
 // and incumbent energy inc, and returns the largest staircase of a
 // composition. A step is kept when its T meets the deadline (within the
-// 1e-12 every deadline test allows) and its E falls more than 1e-15 below
-// the previous kept step's. The context caps carry a relative 1e-9
-// margin, so rounding in their sums never drops a step the unpruned DP
-// keeps at the root.
+// 1e-12 every deadline test allows) and its E falls below the previous
+// kept step's by more than a relative 1e-15 (stepBelow). The context caps
+// carry a relative 1e-9 margin, so rounding in their sums never drops a
+// step the unpruned DP keeps at the root.
 func (t *spTree) solve(D, inc float64, budget int) (int, error) {
 	dl := D * (1 + 1e-12)
 	tLim, eLim := dl*(1+1e-9), inc*(1+1e-9)
@@ -610,6 +612,11 @@ func (t *spTree) solve(D, inc float64, budget int) (int, error) {
 	return peak, nil
 }
 
+// stepBelow is the energy a new staircase step must fall below to follow a
+// step of energy e: relative, so steps that differ only by rounding merge
+// at every weight scale. +Inf for e = +Inf (no step yet).
+func stepBelow(e float64) float64 { return e * (1 - 1e-15) }
+
 // leaf emits one step per mode, fastest first.
 func (t *spTree) leaf(nd *spNode, tCap, eCap float64) {
 	w := t.g.Weight(nd.task)
@@ -619,7 +626,7 @@ func (t *spTree) leaf(nd *spNode, tCap, eCap float64) {
 		if T > tCap {
 			break
 		}
-		if E := model.TaskEnergy(w, t.modes[j]); E <= eCap && E < bestE-1e-15 {
+		if E := model.TaskEnergy(w, t.modes[j]); E <= eCap && E < stepBelow(bestE) {
 			nd.stairs = append(nd.stairs, spEntry{T: T, E: E, a: int32(j)})
 			bestE = E
 		}
@@ -653,7 +660,7 @@ func (t *spTree) parallel(nd *spNode, tCap, eCap float64) {
 		if i < 0 || j < 0 {
 			continue
 		}
-		if E := L[i].E + R[j].E; E <= eCap && E < bestE-1e-15 {
+		if E := L[i].E + R[j].E; E <= eCap && E < stepBelow(bestE) {
 			nd.stairs = append(nd.stairs, spEntry{T: T, E: E, a: int32(i), b: int32(j)})
 			bestE = E
 		}
@@ -701,7 +708,7 @@ func (t *spTree) series(nd *spNode, tCap, eCap float64, budget int) {
 	}
 	for len(h) > 0 {
 		top := h[0]
-		if top.E < bestE-1e-15 {
+		if top.E < stepBelow(bestE) {
 			a, b := top.row, top.col
 			if swap {
 				a, b = b, a
@@ -729,7 +736,7 @@ func (t *spTree) series(nd *spNode, tCap, eCap float64, budget int) {
 // eCap, moved past any later columns whose sums round to the same T (they
 // cost no more); len(cols) when there is none.
 func seek(row spEntry, cols []spEntry, from int, bestE, eCap float64) int {
-	thr := bestE - 1e-15
+	thr := stepBelow(bestE)
 	lo, hi := from, len(cols)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

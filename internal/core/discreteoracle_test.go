@@ -48,7 +48,7 @@ func buildDPTree(e *graph.SPExpr) *dpNode {
 }
 
 // prunePareto sorts entries by (T asc, E asc) and keeps the strictly
-// E-decreasing staircase.
+// E-decreasing staircase, with SolveDiscreteSP's relative step rule.
 func prunePareto(entries []paretoEntry) []paretoEntry {
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].T != entries[j].T {
@@ -59,7 +59,7 @@ func prunePareto(entries []paretoEntry) []paretoEntry {
 	out := entries[:0]
 	bestE := math.Inf(1)
 	for _, e := range entries {
-		if e.E < bestE-1e-15 {
+		if e.E < stepBelow(bestE) {
 			out = append(out, e)
 			bestE = e.E
 		}

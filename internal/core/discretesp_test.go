@@ -292,3 +292,79 @@ func TestDiscreteSPRoundingEdges(t *testing.T) {
 		t.Fatalf("staircase %v, the oracle's has %d steps", got, want.Stats.FrontierPeak)
 	}
 }
+
+// scaledProblem is p with every weight and the deadline multiplied by c.
+func scaledProblem(t testing.TB, p *Problem, c float64) *Problem {
+	t.Helper()
+	w := p.G.Weights()
+	for i := range w {
+		w[i] *= c
+	}
+	q, err := NewProblem(p.G.CloneWithWeights(w), p.Deadline*c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// solveSP runs SolveDiscreteSP on p's series-parallel expression.
+func solveSP(p *Problem, m model.Model) (*Solution, error) {
+	return p.onSPExpr(Classify(p.G), func(q *Problem, e *graph.SPExpr) (*Solution, error) {
+		return q.SolveDiscreteSP(m, e, DiscreteOptions{})
+	})
+}
+
+// TestDiscreteExactAtAnyWeightScale is the scale metamorphic property of
+// the exact Discrete solvers: multiplying every weight and the deadline by
+// c keeps the optimal speeds and multiplies the optimal energy by c, so
+// the scaled answer must be c times the unscaled one within 1e-9. The DP
+// runs on the series-parallel families, branch-and-bound on gnp-10 and
+// layered-10.
+func TestDiscreteExactAtAnyWeightScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	families := []string{"chain", "fork", "join", "forkjoin", "tree", "intree", "sp", "mapreduce", "gnp", "layered"}
+	for _, fam := range families {
+		n := 12
+		switch fam {
+		case "forkjoin":
+			n = 4
+		case "gnp", "layered":
+			n = 10
+		}
+		g, err := workload.Generate(fam, n, rng, graph.UniformWeights(0.5, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, modes := range discreteLadders[:3] {
+			dm, err := model.NewDiscrete(modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solve := func(q *Problem) (*Solution, error) { return solveSP(q, dm) }
+			if fam == "gnp" || fam == "layered" {
+				solve = func(q *Problem) (*Solution, error) { return q.SolveDiscreteBB(dm, DiscreteOptions{}) }
+			}
+			dmin, _ := g.MinimalDeadline(dm.SMax)
+			for _, f := range []float64{1.02, 1.4, 2, 3.9} {
+				p, err := NewProblem(g, dmin*f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := solve(p)
+				if err != nil {
+					t.Fatalf("%s-%d/ladder%d/%gx: %v", fam, g.N(), li, f, err)
+				}
+				for _, c := range []float64{1e-16, 1e-12, 1e6} {
+					name := fmt.Sprintf("%s-%d/ladder%d/%gx/×%g", fam, g.N(), li, f, c)
+					got, err := solve(scaledProblem(t, p, c))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if relDiff(got.Energy, c*ref.Energy) > 1e-9 {
+						t.Fatalf("%s: energy %.12g, %g × the unscaled %.12g", name, got.Energy, c, ref.Energy)
+					}
+				}
+			}
+		}
+	}
+}

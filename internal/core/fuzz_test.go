@@ -94,12 +94,15 @@ func FuzzSolveNumeric(f *testing.F) {
 // energies within 1e-12, no higher frontier peak) on graph.RandomSP
 // shapes of 1–16 tasks, uniform, constant or near-constant weights, one
 // of the discreteLadders, a deadline whose excess over the minimum is
-// log-uniform in [1e-9, 3], cold or warm from the oracle's optimum.
+// log-uniform in [1e-9, 3], cold or warm from the oracle's optimum. Then
+// it scales every weight and the deadline by 10^k, k in [−16, 6] (exp),
+// and the DP's energy must scale by the same factor within 1e-9.
 func FuzzDiscreteSP(f *testing.F) {
-	f.Add(int64(1), uint8(11), uint8(0), uint8(0), uint16(40000), false)
-	f.Add(int64(2), uint8(15), uint8(1), uint8(3), uint16(0), true)
-	f.Add(int64(3), uint8(8), uint8(2), uint8(2), uint16(65535), false)
-	f.Fuzz(func(t *testing.T, seed int64, n, wsel, lsel uint8, slack uint16, warm bool) {
+	f.Add(int64(1), uint8(11), uint8(0), uint8(0), uint16(40000), false, uint8(16))
+	f.Add(int64(2), uint8(15), uint8(1), uint8(3), uint16(0), true, uint8(16))
+	f.Add(int64(3), uint8(8), uint8(2), uint8(2), uint16(65535), false, uint8(16))
+	f.Add(int64(4), uint8(12), uint8(0), uint8(0), uint16(30000), false, uint8(0)) // ×1e-16
+	f.Fuzz(func(t *testing.T, seed int64, n, wsel, lsel uint8, slack uint16, warm bool, exp uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		wf := []graph.WeightFunc{graph.UniformWeights(0.5, 3), graph.ConstantWeights(1), graph.UniformWeights(1, 1+1e-6)}[wsel%3]
 		g, _ := graph.RandomSP(rng, 1+int(n%16), wf)
@@ -112,10 +115,21 @@ func FuzzDiscreteSP(f *testing.F) {
 		if err != nil {
 			t.Fatalf("problem: %v", err)
 		}
-		_, want := compareDiscreteSP(t, "cold", p, dm, DiscreteOptions{})
-		if warm && want != nil {
+		got, want := compareDiscreteSP(t, "cold", p, dm, DiscreteOptions{})
+		if want == nil {
+			return
+		}
+		if warm {
 			ws, _ := want.Speeds()
 			compareDiscreteSP(t, "warm", p, dm, DiscreteOptions{Warm: &WarmStart{Speeds: ws}})
+		}
+		c := math.Pow(10, float64(int(exp%23)-16))
+		scaled, err := solveSP(scaledProblem(t, p, c), dm)
+		if err != nil {
+			t.Fatalf("×%g: %v", c, err)
+		}
+		if relDiff(scaled.Energy, c*got.Energy) > 1e-9 {
+			t.Fatalf("×%g: energy %.17g, %g × the unscaled %.17g", c, scaled.Energy, c, got.Energy)
 		}
 	})
 }

@@ -53,11 +53,11 @@ func assemble(s *SparseSym, offs [][2]int, n int, seed int64) (*Matrix, Vector) 
 }
 
 // TestSymProgramConcurrentFactor is the shared-compile race pin: one
-// symbolic analysis, many goroutines concurrently borrowing pooled
-// factors from it, each assembling different values, factoring, and
-// solving. Under -race this proves the program's symbolic slices are
-// read-only across factors and the pool hands out disjoint workspaces;
-// every goroutine checks its answer against an independent dense solve.
+// symbolic analysis, many goroutines each minting one factor from it and
+// reusing that factor across its iterations, each assembling different
+// values, factoring, and solving. Under -race this proves the program's
+// symbolic slices are read-only across factors; every goroutine checks its
+// answer against an independent dense solve.
 func TestSymProgramConcurrentFactor(t *testing.T) {
 	const (
 		n          = 80
@@ -73,8 +73,8 @@ func TestSymProgramConcurrentFactor(t *testing.T) {
 		wg.Add(1)
 		go func(gid int) {
 			defer wg.Done()
+			s := prog.NewFactor()
 			for it := 0; it < iters; it++ {
-				s := prog.Acquire()
 				dense, rhs := assemble(s, offs, n, int64(1+gid*1000+it))
 				boost, err := s.Factor()
 				if err != nil {
@@ -86,7 +86,6 @@ func TestSymProgramConcurrentFactor(t *testing.T) {
 				}
 				x := NewVector(n)
 				s.SolveInto(rhs, x)
-				prog.Release(s)
 				want, _, err := SolvePD(dense, rhs)
 				if err != nil {
 					errc <- err

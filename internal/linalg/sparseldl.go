@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -67,11 +66,10 @@ type SparseSym struct {
 // SymProgram is the immutable outcome of one symbolic compilation: the
 // fill-reducing ordering, the permuted pattern, the elimination tree and
 // column counts, and the slot maps. It is safe for concurrent use: N
-// goroutines can each hold their own SparseSym factor minted by
-// NewFactor (or borrowed via Acquire/Release) against one shared
-// program, because every shared slice is read-only after compilation —
-// only the per-factor numeric state (values, factor storage, scratch
-// vectors) is mutated by Factor/SolveInto.
+// goroutines can each hold their own SparseSym factor minted by NewFactor
+// against one shared program, because every shared slice is read-only
+// after compilation — only the per-factor numeric state (values, factor
+// storage, scratch vectors) is mutated by Factor/SolveInto.
 //
 // This is the unit that structure-keyed caches store: two problems with
 // the same sparsity pattern share one SymProgram and skip the ordering
@@ -90,9 +88,6 @@ type SymProgram struct {
 	parent []int
 	lnz    []int
 	lp     []int
-
-	// pool recycles factors across solves (Acquire/Release).
-	pool sync.Pool
 }
 
 // symbolicAnalyses counts completed symbolic compilations process-wide.
@@ -103,8 +98,8 @@ var symbolicAnalyses atomic.Uint64
 // SymbolicAnalyses returns the number of symbolic compilations (ordering
 // selection + elimination-tree analysis) performed by this process. The
 // counter moves once per CompileProgram/CompileOpts, never on NewFactor,
-// Acquire, Factor, or SolveInto — so a cache layer can assert that warm
-// solves are symbolic-free.
+// Factor, or SolveInto — so a cache layer can assert that warm solves are
+// symbolic-free.
 func SymbolicAnalyses() uint64 { return symbolicAnalyses.Load() }
 
 // SymBuilder collects the nonzero pattern of an n×n symmetric matrix.
@@ -160,7 +155,7 @@ func (b *SymBuilder) CompileOpts(opts CompileOptions) *SparseSym {
 // CompileProgram runs the one-time structural work — dedupe, ordering,
 // symbolic LDLᵀ — and returns it as a shareable SymProgram without
 // allocating any numeric storage. The builder must not be reused.
-// Factors are minted with NewFactor or borrowed with Acquire/Release.
+// Factors are minted with NewFactor.
 func (b *SymBuilder) CompileProgram(opts CompileOptions) *SymProgram {
 	n := b.n
 	for k := 0; k < n; k++ {
@@ -271,23 +266,6 @@ func (p *SymProgram) NewFactor() *SparseSym {
 		s.flag[i] = -1
 	}
 	return s
-}
-
-// Acquire borrows a pooled factor (minting one when the pool is empty).
-// The returned factor carries arbitrary stale values: assemble and
-// Factor before any SolveInto. Return it with Release when the solve
-// finishes so the next request on this structure skips the allocation.
-func (p *SymProgram) Acquire() *SparseSym {
-	if v := p.pool.Get(); v != nil {
-		return v.(*SparseSym)
-	}
-	return p.NewFactor()
-}
-
-// Release returns a factor obtained from Acquire (or NewFactor on this
-// program) to the pool. The caller must not use it afterwards.
-func (p *SymProgram) Release(s *SparseSym) {
-	p.pool.Put(s)
 }
 
 // N returns the dimension.

@@ -1,6 +1,6 @@
 // Package lru is the one cache primitive behind solved responses, compiled
 // continuous kernels, and planner classifications: a fixed-capacity,
-// mutex-guarded LRU map with optional pin reference counts.
+// mutex-guarded LRU map.
 package lru
 
 import (
@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// Cache maps keys to values, evicting the least recently used unpinned
-// entry once it holds more than its capacity. Values are shared as-is:
+// Cache maps keys to values, evicting the least recently used entry once
+// it holds more than its capacity. Values are shared as-is:
 // callers that hand them out must treat them as immutable. Safe for
 // concurrent use.
 type Cache[K comparable, V any] struct {
@@ -17,7 +17,6 @@ type Cache[K comparable, V any] struct {
 	cap     int
 	order   *list.List // front = most recently used; elements hold *entry
 	entries map[K]*list.Element
-	pins    map[K]int
 }
 
 type entry[K comparable, V any] struct {
@@ -32,7 +31,6 @@ func New[K comparable, V any](cap int) *Cache[K, V] {
 		cap:     cap,
 		order:   list.New(),
 		entries: make(map[K]*list.Element),
-		pins:    make(map[K]int),
 	}
 }
 
@@ -75,52 +73,12 @@ func (c *Cache[K, V]) insert(key K, val V, replace bool) V {
 		return e.val
 	}
 	c.entries[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
-	c.evictLocked()
-	return val
-}
-
-// evictLocked trims least-recently-used unpinned entries beyond cap. When
-// every entry is pinned the cache is allowed to exceed cap: a pin is a
-// liveness promise to its owner, not a budget.
-func (c *Cache[K, V]) evictLocked() {
-	for c.order.Len() > c.cap {
+	if c.order.Len() > c.cap { // one insert overflows by at most one
 		el := c.order.Back()
-		for el != nil && c.pins[el.Value.(*entry[K, V]).key] > 0 {
-			el = el.Prev()
-		}
-		if el == nil {
-			return
-		}
 		c.order.Remove(el)
 		delete(c.entries, el.Value.(*entry[K, V]).key)
 	}
-}
-
-// Pin marks key as in use: pinned keys survive eviction. Pins are counted,
-// so independent owners pin and unpin symmetrically. Pinning a key with no
-// entry yet is allowed — the pin applies when the entry appears.
-func (c *Cache[K, V]) Pin(key K) {
-	c.mu.Lock()
-	c.pins[key]++
-	c.mu.Unlock()
-}
-
-// Unpin releases one Pin reference on key.
-func (c *Cache[K, V]) Unpin(key K) {
-	c.mu.Lock()
-	if c.pins[key] > 1 {
-		c.pins[key]--
-	} else {
-		delete(c.pins, key)
-	}
-	c.mu.Unlock()
-}
-
-// Pinned returns the number of distinct keys currently pinned.
-func (c *Cache[K, V]) Pinned() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pins)
+	return val
 }
 
 // Len returns the number of cached entries.
@@ -130,7 +88,7 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Purge empties the cache; pins survive.
+// Purge empties the cache.
 func (c *Cache[K, V]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

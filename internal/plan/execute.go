@@ -28,9 +28,9 @@ type Observer struct {
 }
 
 // Execute runs the plan on the component executor: every component is
-// solved with its routed solver — concurrently on up to Workers solver
-// goroutines — and the solutions merge back onto the original execution
-// graph (energy sums, speeds stitch by task ID). A single-component plan
+// solved with its routed solver — concurrently on up to Options.Workers
+// solver goroutines — and the solutions merge back onto the original
+// execution graph (energy sums, speeds stitch by task ID). A single-component plan
 // returns its component's solution unchanged, so connected instances
 // behave exactly as an unplanned solve would.
 func (pl *Plan) Execute() (*core.Solution, error) {
@@ -58,9 +58,9 @@ func Solve(ctx context.Context, p *core.Problem, m model.Model, opts Options, ob
 // run is the component executor behind Execute, Replan, and Solve. It
 // solves every component without a solution in sols (nil: all) on a
 // pipeline: a route stage when route is set, one worker running ahead of
-// the solvers, then a solve stage of up to Workers goroutines (default
-// GOMAXPROCS) that fires the solver fault site before each solve. The
-// calling goroutine relays the observer events and merges with the
+// the solvers, then a solve stage of up to Options.Workers goroutines
+// (default GOMAXPROCS) that fires the solver fault site before each solve.
+// The calling goroutine relays the observer events and merges with the
 // residual's release times. A solver panic fails the run with an error
 // wrapping resilience.ErrPanic; running solves finish before run returns.
 func (pl *Plan) run(ctx context.Context, route bool, sols []*core.Solution, obs Observer) (*core.Solution, error) {
@@ -73,7 +73,7 @@ func (pl *Plan) run(ctx context.Context, route bool, sols []*core.Solution, obs 
 			todo = append(todo, i)
 		}
 	}
-	workers := pl.Workers
+	workers := pl.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -57,10 +57,6 @@ type Options struct {
 	K int
 	// Workers bounds concurrent component solves (default GOMAXPROCS).
 	Workers int
-	// Continuous tunes the interior-point solver.
-	Continuous core.ContinuousOptions
-	// Discrete tunes the exact discrete solvers.
-	Discrete core.DiscreteOptions
 	// Degraded routes components that would need an expensive solver
 	// (interior point, branch-and-bound, the LP) to the bounded uniform
 	// heuristic instead — the serving layer's overload trade of optimality
@@ -72,9 +68,8 @@ type Options struct {
 	// requests: component classification (and its SP-recognition
 	// artifacts) is cached per structural fingerprint, and the continuous
 	// solver's compiled kernels are cached through the embedded
-	// core.KernelCache (threaded into Continuous.Kernels automatically
-	// unless one is already set). Safe for concurrent use and shared by
-	// the service engine, streaming pipeline, and reclaim sessions.
+	// core.KernelCache. Safe for concurrent use and shared by the service
+	// engine, streaming pipeline, and reclaim sessions.
 	Structures *StructureCache
 }
 
@@ -129,13 +124,11 @@ type Plan struct {
 	Deadline float64
 	// Components holds one routing decision per weakly-connected component.
 	Components []ComponentPlan
-	// Workers bounds concurrent component solves during Execute and Replan
-	// (default GOMAXPROCS).
-	Workers int
 
-	rt    *Router
-	prob  *core.Problem
-	comps []core.Component
+	workers int // Options.Workers: the bound on concurrent component solves
+	rt      *Router
+	prob    *core.Problem
+	comps   []core.Component
 	// res is non-nil on residual plans (AnalyzeResidual): the full-problem
 	// release vector and previous solution behind the per-component slices.
 	res *Residual
@@ -169,8 +162,8 @@ func NewRouter(m model.Model, opts Options) (*Router, error) {
 		return nil, badPlan("%v", err)
 	}
 	rt := &Router{m: m, algo: algo, structs: opts.Structures, degraded: opts.Degraded,
-		opts: core.PlannedOptions{K: opts.K, Continuous: opts.Continuous, Discrete: opts.Discrete}}
-	if opts.Structures != nil && rt.opts.Continuous.Kernels == nil {
+		opts: core.PlannedOptions{K: opts.K}}
+	if opts.Structures != nil {
 		rt.opts.Continuous.Kernels = opts.Structures.Kernels()
 	}
 	return rt, nil
@@ -282,7 +275,7 @@ func newPlan(p *core.Problem, m model.Model, opts Options, res *Residual) (*Plan
 		Model:      m,
 		Deadline:   p.Deadline,
 		Components: make([]ComponentPlan, len(comps)),
-		Workers:    opts.Workers,
+		workers:    opts.Workers,
 		rt:         rt,
 		prob:       p,
 		comps:      comps,

@@ -291,46 +291,53 @@ func TestRouteCoverage(t *testing.T) {
 		}
 	}
 
-	// Fallbacks: a binding smax on a tree and on an SP graph, and a frontier
-	// budget the Pareto DP cannot meet. That leg's deadline is loose: at
-	// 1.02× the minimum the DP's context pruning keeps every staircase at
-	// one step, within the budget.
+	// Fallbacks: a binding smax on a tree and on an SP graph.
 	cont, disc := models[0], models[2]
-	for _, fc := range []struct {
-		class  core.Class
-		m      model.Model
-		opts   Options
-		factor float64
-	}{
-		{ClassTree, cont, Options{}, 1.02},
-		{ClassSeriesParallel, cont, Options{}, 1.02},
-		{ClassSeriesParallel, disc, Options{Discrete: core.DiscreteOptions{MaxFrontier: 1}}, 1.6},
-	} {
-		g := graphs[fc.class]
-		p := mustProblem(t, g, feasibleDeadline(t, g, 2, fc.factor))
-		pl, err := Analyze(p, fc.m, fc.opts)
+	for _, class := range []core.Class{ClassTree, ClassSeriesParallel} {
+		g := graphs[class]
+		p := mustProblem(t, g, feasibleDeadline(t, g, 2, 1.02))
+		pl, err := Analyze(p, cont, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sol, err := pl.Execute()
 		if err != nil {
-			t.Fatalf("%s fallback: %v", fc.class, err)
+			t.Fatalf("%s fallback: %v", class, err)
 		}
-		cov.check(t, fmt.Sprintf("%s/%s/fallback", fc.m.Kind, fc.class), pl, sol, nil)
+		cov.check(t, fmt.Sprintf("%s/%s/fallback", cont.Kind, class), pl, sol, nil)
 	}
+	// A frontier budget the Pareto DP cannot meet, through core.SolveRoute
+	// on the component the planner routes to the DP. The deadline is
+	// loose: at 1.02× the minimum the DP's context pruning keeps every
+	// staircase at one step, within the budget.
+	sp := graphs[ClassSeriesParallel]
+	p := mustProblem(t, sp, feasibleDeadline(t, sp, 2, 1.6))
+	pl, err := Analyze(p, disc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp := pl.Components[0]; cp.Solver != "discrete-sp-dp" {
+		t.Fatalf("Discrete SP component routed to %s", cp.Solver)
+	}
+	sol, err := p.SolveRoute(disc, "discrete-sp-dp", core.Classify(sp),
+		core.PlannedOptions{Discrete: core.DiscreteOptions{MaxFrontier: 1}})
+	if err != nil {
+		t.Fatalf("Discrete SP frontier fallback: %v", err)
+	}
+	cov.check(t, "Discrete/series-parallel/fallback", pl, sol, nil)
 
 	// A Vdd chain released at its head alone keeps the closed form; the
 	// residual rows above release every task, so they fall back to the
 	// linear program.
 	vdd, chain := models[1], graphs[ClassChain]
-	p := mustProblem(t, chain, feasibleDeadline(t, chain, 2, 1.6))
+	p = mustProblem(t, chain, feasibleDeadline(t, chain, 2, 1.6))
 	rel := make([]float64, chain.N())
 	rel[0] = 0.05 * p.Deadline // task 0 is the head
-	pl, err := AnalyzeResidual(p, vdd, Options{}, Residual{Release: rel})
+	pl, err = AnalyzeResidual(p, vdd, Options{}, Residual{Release: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pl.Execute()
+	sol, err = pl.Execute()
 	if err != nil {
 		t.Fatalf("Vdd chain head release: %v", err)
 	}

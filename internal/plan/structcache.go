@@ -19,13 +19,8 @@ import (
 // through plan.Options covers both the classification and the
 // ordering+symbolic work. Classification is dominated by the transitive
 // reduction's reachability closure (O(n·m/64) word operations, n²/8
-// bytes); the SP recognizer after it is linear.
-//
-// Entries can be pinned (reference-counted) by long-lived owners —
-// reclaim sessions pin the structures their replans revisit — and pinned
-// entries are never evicted, so a session's replan stays structure-hit
-// for its whole lifetime even under cache pressure from unrelated
-// traffic. Pins cover classification entries only, not compiled kernels.
+// bytes); the SP recognizer after it is linear. Each half holds at most
+// its capacity.
 type StructureCache struct {
 	lru     *lru.Cache[[32]byte, core.Shape]
 	kernels *core.KernelCache
@@ -72,33 +67,6 @@ func (sc *StructureCache) classify(g *graph.Graph) core.Shape {
 	return sh
 }
 
-// Pin marks the structure key as in use: pinned keys survive eviction.
-// Pins are counted, so independent owners pin and unpin symmetrically.
-// Pinning a key with no cache entry yet is allowed — the pin applies when
-// the entry appears.
-func (sc *StructureCache) Pin(key [32]byte) { sc.lru.Pin(key) }
-
-// Unpin releases one Pin reference on key.
-func (sc *StructureCache) Unpin(key [32]byte) { sc.lru.Unpin(key) }
-
-// PinProblem pins the structure key of every weakly-connected component
-// of p and returns the pinned keys (for symmetric Unpin). Reclaim
-// sessions call this per residual problem so each replan's structures
-// stay resident for the session's lifetime.
-func (sc *StructureCache) PinProblem(p *core.Problem) [][32]byte {
-	comps, err := p.SplitComponents()
-	if err != nil {
-		return nil
-	}
-	keys := make([][32]byte, 0, len(comps))
-	for _, c := range comps {
-		k := c.Prob.G.StructuralFingerprint()
-		sc.Pin(k)
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // Hits returns the classification-lookup hit count.
 func (sc *StructureCache) Hits() uint64 { return sc.hits.Load() }
 
@@ -107,8 +75,3 @@ func (sc *StructureCache) Misses() uint64 { return sc.misses.Load() }
 
 // Len returns the number of cached structure entries.
 func (sc *StructureCache) Len() int { return sc.lru.Len() }
-
-// Pinned returns the number of distinct structure keys currently pinned.
-// Leak detectors (the chaos suite) assert it returns to zero once every
-// session is closed — a nonzero residue means a session leaked its pins.
-func (sc *StructureCache) Pinned() int { return sc.lru.Pinned() }

@@ -23,7 +23,7 @@
 //     the Vdd LP restricts each task to the modes bracketing its previous
 //     profile. Warm starts never change a solver's answer, only its cost.
 //
-// Zero-deviation events (actual ≡ planned within DeviationTol) are a
+// Zero-deviation events (actual ≡ planned within deviationTol) are a
 // no-op by construction: freezing variables of an optimal solution at
 // their optimal values leaves the remaining variables' optimum unchanged,
 // so the session skips the solver entirely and the replayed schedule
@@ -53,36 +53,20 @@ type Options struct {
 	Algorithm string
 	// K is the Theorem 5 accuracy parameter (default 4).
 	K int
-	// Workers bounds concurrent component re-solves within one replan
-	// (default GOMAXPROCS, like plan.Options.Workers).
-	Workers int
 	// Cold disables incremental reuse and warm starts: every dirty event
 	// re-solves the full residual from scratch. Benchmarks use it as the
 	// baseline the warm path is measured against.
 	Cold bool
-	// DeviationTol is the relative duration tolerance under which a
-	// completion counts as on-plan and triggers no re-solve (default 1e-9).
-	DeviationTol float64
-	// Continuous and Discrete tune the underlying solvers.
-	Continuous core.ContinuousOptions
-	Discrete   core.DiscreteOptions
 	// Structures, when non-nil, amortizes structural work across the
 	// session's replans through the shared structure cache: residual
 	// classification and compiled continuous kernels hit per structural
-	// fingerprint. The session pins the classification entries (not the
-	// kernels) of every structure it touches — the initial problem's
-	// components and each replan's residual components — so cache pressure
-	// from unrelated traffic cannot evict them mid-session; Close releases
-	// the pins.
+	// fingerprint.
 	Structures *plan.StructureCache
 }
 
-func (o Options) deviationTol() float64 {
-	if o.DeviationTol > 0 {
-		return o.DeviationTol
-	}
-	return 1e-9
-}
+// deviationTol is the relative duration tolerance under which a completion
+// counts as on-plan and triggers no re-solve.
+const deviationTol = 1e-9
 
 // Stats counts what the session did.
 type Stats struct {
@@ -172,13 +156,6 @@ type Session struct {
 	infeasible     bool
 	stats          Stats
 
-	// pinned holds one pin per structure key this session touched until
-	// Close releases them and sets closed. pinMu guards both apart from mu,
-	// so Close never waits behind a replan.
-	pinMu  sync.Mutex
-	pinned map[[32]byte]bool
-	closed bool
-
 	// onComponent, when set, observes every re-solved residual component
 	// the moment its solver finishes (see SetOnComponent).
 	onComponent func(ComponentUpdate)
@@ -232,51 +209,12 @@ func NewSession(p *core.Problem, m model.Model, sol *core.Solution, opts Options
 		remaining: n,
 	}
 	copy(s.profiles, sol.Schedule.Profiles)
-	s.pinStructuresLocked(p)
 	return s, nil
 }
 
-// pinStructuresLocked pins the structure key of every component of p that
-// this session has not pinned yet, holding exactly one pin per unique key
-// for the session's lifetime. PinProblem pins unconditionally, so keys the
-// session already holds, and every key once the session is closed, get
-// their pin released immediately. The split and fingerprinting run before
-// pinMu is taken, so Close only ever waits for map updates.
-// Caller holds s.mu (or owns a not-yet-shared session).
-func (s *Session) pinStructuresLocked(p *core.Problem) {
-	sc := s.opts.Structures
-	if sc == nil {
-		return
-	}
-	keys := sc.PinProblem(p)
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	for _, k := range keys {
-		if s.closed || s.pinned[k] {
-			sc.Unpin(k)
-			continue
-		}
-		if s.pinned == nil {
-			s.pinned = make(map[[32]byte]bool)
-		}
-		s.pinned[k] = true
-	}
-}
-
-// Close releases the session's structure-cache pins without waiting for a
-// replan in progress. Idempotent; sessions without a structure cache need
-// not call it. The session remains usable afterwards — its structures just
-// lose eviction immunity.
-func (s *Session) Close() {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	if sc := s.opts.Structures; sc != nil {
-		for k := range s.pinned {
-			sc.Unpin(k)
-		}
-	}
-	s.pinned, s.closed = nil, true
-}
+// Close does nothing: a session holds no resource beyond its memory. It is
+// kept so existing callers compile.
+func (s *Session) Close() {}
 
 // ReplanGate admits one residual re-solve into an external worker pool.
 // ApplyEventGated calls it right before a re-solve and runs the returned
@@ -331,7 +269,7 @@ func (s *Session) ApplyEventGated(ev CompletionEvent, gate ReplanGate) (*EventRe
 
 	plannedDur := s.profiles[t].Duration()
 	F := s.release[t] + ev.ActualDuration
-	clean := math.Abs(ev.ActualDuration-plannedDur) <= s.opts.deviationTol()*math.Max(1, plannedDur)
+	clean := math.Abs(ev.ActualDuration-plannedDur) <= deviationTol*math.Max(1, plannedDur)
 
 	// Freeze. On-plan completions keep the planned profile (bit-exact
 	// replay, and a Vdd task's mode hops survive); a deviating task is
@@ -431,66 +369,20 @@ func (s *Session) ApplyEventGated(ev CompletionEvent, gate ReplanGate) (*EventRe
 // replanLocked re-solves the residual instance, incrementally unless the
 // session is Cold. Caller holds s.mu.
 func (s *Session) replanLocked() (*plan.ReplanResult, error) {
-	ids := make([]int, 0, s.remaining)
-	for i, done := range s.completed {
-		if !done {
-			ids = append(ids, i)
-		}
-	}
-	sub, back, err := s.prob.G.InducedSubgraph(ids)
+	resProb, back, residual, err := s.residualLocked()
 	if err != nil {
 		return nil, err
 	}
-	resProb, err := core.NewProblem(sub, s.prob.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	nr := len(back)
-	rel := make([]float64, nr)
-	for local, id := range back {
-		rel[local] = s.release[id]
-	}
-	residual := plan.Residual{Release: rel, Cold: s.opts.Cold}
-	if s.mdl.Kind == model.VddHopping {
-		residual.PrevProfiles = make([]sched.Profile, nr)
-		for local, id := range back {
-			residual.PrevProfiles[local] = s.profiles[id]
-		}
-	} else {
-		residual.PrevSpeeds = make([]float64, nr)
-		for local, id := range back {
-			if len(s.profiles[id]) == 0 {
-				return nil, fmt.Errorf("reclaim: task %d has no profile", id)
-			}
-			residual.PrevSpeeds[local] = s.profiles[id][0].Speed
-		}
-	}
-	s.pinStructuresLocked(resProb)
 	rp, err := plan.AnalyzeResidual(resProb, s.mdl, plan.Options{
 		Algorithm:  s.opts.Algorithm,
 		K:          s.opts.K,
-		Workers:    s.opts.Workers,
-		Continuous: s.opts.Continuous,
-		Discrete:   s.opts.Discrete,
 		Structures: s.opts.Structures,
 	}, residual)
 	if err != nil {
 		s.infeasible = true
 		return nil, err
 	}
-	var dirty []plan.ComponentID
-	for ci, cp := range rp.Components {
-		if s.opts.Cold {
-			dirty = append(dirty, ci)
-			continue
-		}
-		for _, local := range cp.Tasks {
-			if s.needs[back[local]] {
-				dirty = append(dirty, ci)
-				break
-			}
-		}
-	}
+	dirty := s.dirtyLocked(rp, back)
 	var obs plan.Observer
 	if s.onComponent != nil {
 		obs.Component = func(_ *plan.Plan, ci int, sol *core.Solution) error {
@@ -520,6 +412,69 @@ func (s *Session) replanLocked() (*plan.ReplanResult, error) {
 	}
 	s.infeasible = false
 	return rr, nil
+}
+
+// residualLocked builds the residual instance over the remaining tasks:
+// their induced subgraph under the original deadline, each task released
+// at its latest frozen-predecessor finish and seeded with its current
+// speeds (profiles under Vdd-Hopping). back maps residual task IDs to the
+// session's. Caller holds s.mu.
+func (s *Session) residualLocked() (*core.Problem, []int, plan.Residual, error) {
+	ids := make([]int, 0, s.remaining)
+	for i, done := range s.completed {
+		if !done {
+			ids = append(ids, i)
+		}
+	}
+	sub, back, err := s.prob.G.InducedSubgraph(ids)
+	if err != nil {
+		return nil, nil, plan.Residual{}, err
+	}
+	resProb, err := core.NewProblem(sub, s.prob.Deadline)
+	if err != nil {
+		return nil, nil, plan.Residual{}, err
+	}
+	nr := len(back)
+	rel := make([]float64, nr)
+	for local, id := range back {
+		rel[local] = s.release[id]
+	}
+	residual := plan.Residual{Release: rel, Cold: s.opts.Cold}
+	if s.mdl.Kind == model.VddHopping {
+		residual.PrevProfiles = make([]sched.Profile, nr)
+		for local, id := range back {
+			residual.PrevProfiles[local] = s.profiles[id]
+		}
+	} else {
+		residual.PrevSpeeds = make([]float64, nr)
+		for local, id := range back {
+			if len(s.profiles[id]) == 0 {
+				return nil, nil, plan.Residual{}, fmt.Errorf("reclaim: task %d has no profile", id)
+			}
+			residual.PrevSpeeds[local] = s.profiles[id][0].Speed
+		}
+	}
+	return resProb, back, residual, nil
+}
+
+// dirtyLocked lists the components of the residual plan rp to re-solve:
+// every one when the session is Cold, else those holding a task whose
+// constraints changed since its last solve. Caller holds s.mu.
+func (s *Session) dirtyLocked(rp *plan.Plan, back []int) []plan.ComponentID {
+	var dirty []plan.ComponentID
+	for ci, cp := range rp.Components {
+		if s.opts.Cold {
+			dirty = append(dirty, ci)
+			continue
+		}
+		for _, local := range cp.Tasks {
+			if s.needs[back[local]] {
+				dirty = append(dirty, ci)
+				break
+			}
+		}
+	}
+	return dirty
 }
 
 // residualEnergyLocked sums the planned energy of the remaining tasks.

@@ -4,14 +4,14 @@
 // cache keyed by a canonical hash of the execution graph, deadline, and
 // model parameters — repeated instances skip the solver entirely. Every
 // solve runs on the planner's one component executor (plan.Solve), which
-// routes each weakly-connected component by its structure and solves the
-// components (concurrently per request when Options.PlanWorkers allows);
-// a stream only adds observers, and one post-solve tail (verify, count,
-// cache) finishes every response, with its plan attached. The HTTP
-// handlers in this package expose the same Engine over JSON endpoints
-// (POST /v1/solve, POST /v1/solve/batch, POST /v1/plan for analysis
-// without solving, GET /v1/stats, GET /healthz); cmd/energyserver wraps
-// them in a binary.
+// routes each weakly-connected component by its structure and solves a
+// request's components one after another, so Options.Workers bounds the
+// solver goroutines of one-shot and streamed solves; a stream only adds
+// observers, and one post-solve tail (verify, count, cache) finishes every
+// response, with its plan attached. The HTTP handlers in this package
+// expose the same Engine over JSON endpoints (POST /v1/solve,
+// POST /v1/solve/batch, POST /v1/plan for analysis without solving,
+// GET /v1/stats, GET /healthz); cmd/energyserver wraps them in a binary.
 //
 // Beneath the instance cache sits a structure-keyed one: an LRU of
 // per-shape artifacts (component classification, SP decompositions,
@@ -21,8 +21,7 @@
 // known shape with new weights or a new deadline misses the instance
 // cache but skips the ordering, symbolic analysis, and classification
 // work entirely — only the numeric solve runs. The layer is shared by
-// one-shot solves, streams, and reclaim sessions (which pin their
-// classification entries against eviction for their lifetime), sized by
+// one-shot solves, streams, and reclaim sessions, sized by
 // Options.StructureCacheSize, and reported in /v1/stats as
 // structure_hits, structure_misses, and structure_len. Both layers, and
 // the compiled-kernel cache beneath the structure one, are the same
@@ -59,14 +58,6 @@ type Options struct {
 	// shed with ErrOverloaded instead of growing the queue without bound
 	// (default 256, negative disables shedding).
 	MaxBacklog int
-	// PlanWorkers bounds concurrent component solves *within* one solve or
-	// stream request (the planner's per-plan worker pool). The default of 1
-	// keeps Workers the total concurrency bound for those requests; raise
-	// it only when request concurrency is low and single-request latency on
-	// disconnected execution graphs matters more than aggregate throughput.
-	// Session replans do not use it: each holds one pool slot but re-solves
-	// its dirty components on up to GOMAXPROCS goroutines.
-	PlanWorkers int
 	// StructureCacheSize bounds the structure-keyed amortization cache: an
 	// LRU of per-component classification artifacts and compiled continuous
 	// kernels keyed by structural fingerprint (values masked), shared by
@@ -140,13 +131,12 @@ func capacity(size, def int) int {
 // use by any number of goroutines; the zero value is not usable — construct
 // with NewEngine.
 type Engine struct {
-	sem         chan struct{}
-	cache       *lru.Cache[string, *SolveResponse]
-	structs     *plan.StructureCache // nil when disabled
-	verifyTol   float64
-	planWorkers int
-	adm         *resilience.Admission
-	degradeAt   int64 // admission depth that flips degraded mode on (0 = never)
+	sem       chan struct{}
+	cache     *lru.Cache[string, *SolveResponse]
+	structs   *plan.StructureCache // nil when disabled
+	verifyTol float64
+	adm       *resilience.Admission
+	degradeAt int64 // admission depth that flips degraded mode on (0 = never)
 
 	flightMu sync.Mutex
 	flight   map[string]*call
@@ -176,13 +166,12 @@ type call struct {
 // NewEngine builds an Engine with the given options.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
-		sem:         make(chan struct{}, opts.workers()),
-		cache:       lru.New[string, *SolveResponse](capacity(opts.CacheSize, 1024)),
-		verifyTol:   opts.VerifyTol,
-		planWorkers: max(opts.PlanWorkers, 1),
-		adm:         resilience.NewAdmission(opts.maxBacklog(), opts.TenantWeights),
-		degradeAt:   opts.degradeAt(),
-		flight:      make(map[string]*call),
+		sem:       make(chan struct{}, opts.workers()),
+		cache:     lru.New[string, *SolveResponse](capacity(opts.CacheSize, 1024)),
+		verifyTol: opts.VerifyTol,
+		adm:       resilience.NewAdmission(opts.maxBacklog(), opts.TenantWeights),
+		degradeAt: opts.degradeAt(),
+		flight:    make(map[string]*call),
 	}
 	if size := capacity(opts.StructureCacheSize, 256); size > 0 {
 		e.structs = plan.NewStructureCache(size)
@@ -191,8 +180,8 @@ func NewEngine(opts Options) *Engine {
 }
 
 // Structures returns the engine's structure-keyed amortization cache (nil
-// when disabled). The session store hands it to reclaim sessions so their
-// replans pin — and therefore keep hitting — the structures they revisit.
+// when disabled). The session store hands it to reclaim sessions, so their
+// replans share it with one-shot solves and streams.
 func (e *Engine) Structures() *plan.StructureCache { return e.structs }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -514,10 +503,11 @@ func (e *Engine) runSolver(inst *instance, key string, degraded bool) (resp *Sol
 	return e.finish(inst, key, pl, sol, err)
 }
 
-// planOptions routes inst as the request asked, on PlanWorkers solver
-// goroutines and the shared structure cache.
+// planOptions routes inst as the request asked, on the shared structure
+// cache. Each request solves its components on one goroutine: the pool's
+// Workers, not the request, bound the engine's solver concurrency.
 func (e *Engine) planOptions(inst *instance, degraded bool) plan.Options {
-	return plan.Options{Algorithm: inst.algo, K: inst.k, Workers: e.planWorkers, Structures: e.structs, Degraded: degraded}
+	return plan.Options{Algorithm: inst.algo, K: inst.k, Workers: 1, Structures: e.structs, Degraded: degraded}
 }
 
 // finish is the post-solve tail Solve and SolveStream share: count, verify,

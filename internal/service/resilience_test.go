@@ -123,8 +123,7 @@ func TestSolverPanicYields500(t *testing.T) {
 // TestSessionReplanSolverPanic pins the solver fault site on session
 // replans: a panic there fails the deviating event with a classified
 // internal error while the completion stays recorded, the next deviating
-// event replans normally, and closing the session releases every
-// structure pin.
+// event replans normally, and the session can then be deleted.
 func TestSessionReplanSolverPanic(t *testing.T) {
 	e := NewEngine(Options{Workers: 2})
 	st := NewSessionStore(e, SessionConfig{})
@@ -157,9 +156,6 @@ func TestSessionReplanSolverPanic(t *testing.T) {
 	}
 	if err := st.Delete(sess.SessionID); err != nil {
 		t.Fatal(err)
-	}
-	if n := e.Structures().Pinned(); n != 0 {
-		t.Fatalf("%d structure pins leaked", n)
 	}
 }
 
@@ -425,8 +421,7 @@ func chaosRequests(t *testing.T) []*SolveRequest {
 // solves, streams, batches, and session lifecycles across all four models.
 // Properties: the process survives, every failure is a classified error,
 // non-degraded successes match the fault-free energies to 1e-9, and after
-// the storm drains no admission token, pool slot, session, or structure
-// pin is leaked.
+// the storm drains no admission token, pool slot, or session is leaked.
 func TestChaosStorm(t *testing.T) {
 	reqs := chaosRequests(t)
 
@@ -524,14 +519,11 @@ func TestChaosStorm(t *testing.T) {
 		t.Fatalf("tenant in-flight leaked: %v", got)
 	}
 	// Any session that survived an injected delete failure is reclaimed
-	// now; afterwards no structure pin may remain.
+	// now; afterwards no session may remain.
 	for _, s := range st.List().Sessions {
 		_ = st.Delete(s.SessionID)
 	}
 	if n := st.Stats().Live; n != 0 {
 		t.Fatalf("%d sessions leaked", n)
-	}
-	if n := e.Structures().Pinned(); n != 0 {
-		t.Fatalf("%d structure pins leaked", n)
 	}
 }

@@ -310,12 +310,9 @@ func (st *SessionStore) buildSession(ctx context.Context, req *SessionRequest) (
 		return nil, nil, err
 	}
 	sess, err := reclaim.NewSession(inst.prob, inst.mdl, sol, reclaim.Options{
-		Algorithm: inst.algo,
-		K:         inst.k,
-		Cold:      req.Cold,
-		// The engine's structure cache: the session pins the structures
-		// its replans revisit, so they stay resident under cache pressure
-		// from unrelated traffic. Delete/eviction release the pins.
+		Algorithm:  inst.algo,
+		K:          inst.k,
+		Cold:       req.Cold,
 		Structures: st.engine.structs,
 	})
 	if err != nil {
@@ -490,9 +487,6 @@ func (st *SessionStore) Delete(id string) error {
 	}
 	entry.closed.Store(true)
 	delete(st.sessions, id)
-	// Close never waits for the session lock a long replan may hold, so the
-	// structure pins are released before Delete returns.
-	entry.sess.Close()
 	entry.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "deleted"})
 	return nil
 }
@@ -583,13 +577,11 @@ func (st *SessionStore) sweepLocked(now time.Time, pressure bool) {
 			e.closed.Store(true)
 			delete(st.sessions, id)
 			st.evictedFinished++
-			e.sess.Close()
 			e.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "evicted"})
 		case idle >= st.cfg.IdleTTL:
 			e.closed.Store(true)
 			delete(st.sessions, id)
 			st.evictedIdle++
-			e.sess.Close()
 			e.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "evicted"})
 		}
 	}

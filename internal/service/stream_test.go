@@ -56,7 +56,7 @@ var streamModels = []ModelSpec{
 // so anything else is a bug in the emit path).
 func TestStreamMatchesMonolithic(t *testing.T) {
 	families := []string{"chain", "fork", "sp", "layered", "multi"}
-	e := NewEngine(Options{Workers: 4, PlanWorkers: 4, VerifyTol: 1e-9})
+	e := NewEngine(Options{Workers: 4, VerifyTol: 1e-9})
 	for _, fam := range families {
 		for _, spec := range streamModels {
 			n := 12
@@ -102,7 +102,7 @@ func TestStreamEventShape(t *testing.T) {
 	g2, _ := workload.FromSeed("fork", 6, 2, 0.5, 3)
 	g3, _ := workload.FromSeed("sp", 7, 3, 0.5, 3)
 	g := workload.DisjointUnion(g1, g2, g3)
-	e := NewEngine(Options{Workers: 2, PlanWorkers: 2})
+	e := NewEngine(Options{Workers: 2})
 	col := &collectEmitter{}
 	resp, err := e.SolveStream(context.Background(),
 		&SolveRequest{Graph: g, Deadline: 30, Model: streamModels[0], NoCache: true},
@@ -151,7 +151,7 @@ func TestStreamCancelReleasesPool(t *testing.T) {
 	g2, _ := workload.FromSeed("layered", 30, 12, 0.5, 3)
 	g3, _ := workload.FromSeed("layered", 30, 13, 0.5, 3)
 	g := workload.DisjointUnion(g1, g2, g3)
-	e := NewEngine(Options{Workers: 2, PlanWorkers: 1})
+	e := NewEngine(Options{Workers: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	firstEvent := make(chan struct{})
@@ -304,7 +304,7 @@ func TestStreamHTTPDisconnectCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, e := newTestServer(t, Options{Workers: 2, PlanWorkers: 1}, HTTPOptions{})
+	srv, e := newTestServer(t, Options{Workers: 2}, HTTPOptions{})
 	before := runtime.NumGoroutine()
 	resp, err := http.Post(srv.URL+"/v1/solve/stream", "application/json", strings.NewReader(string(body)))
 	if err != nil {
@@ -345,7 +345,7 @@ func TestStreamHTTPDisconnectCancels(t *testing.T) {
 // each other; run under -race this is the data-race gate for the shared
 // pipeline path.
 func TestStreamConcurrentStress(t *testing.T) {
-	e := NewEngine(Options{Workers: 4, PlanWorkers: 2})
+	e := NewEngine(Options{Workers: 4})
 	g1, _ := workload.FromSeed("fork", 10, 5, 0.5, 3)
 	g2, _ := workload.FromSeed("sp", 10, 6, 0.5, 3)
 	g := workload.DisjointUnion(g1, g2)
